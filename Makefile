@@ -1,10 +1,10 @@
 # Build and verification entry points. `make check` is the full gate:
-# the tier-1 suite (ROADMAP.md) plus static analysis and the race
-# detector over every package.
+# the tier-1 suite (ROADMAP.md) plus static analysis, the race detector
+# over every package, and the campaign benchmark module's own tests.
 
 GO ?= go
 
-.PHONY: all build test check vet race bench clean
+.PHONY: all build test check vet race perfbench bench clean
 
 all: build
 
@@ -23,7 +23,13 @@ vet:
 race:
 	$(GO) test -race ./...
 
-check: test vet race
+# perfbench/ is its own module, so the root `go test ./...` skips it.
+# Its tests check that the stepped campaign and the composed serving
+# edge match the library's own runs, and that BENCHMARK.json is current.
+perfbench:
+	$(GO) -C perfbench test ./...
+
+check: test vet race perfbench
 
 # Experiment benchmarks plus the machine-readable reports uploaded as CI
 # artifacts: the harvest pipeline (BENCH_harvest.json), the usage

@@ -9,8 +9,9 @@ package repro_test
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
@@ -357,35 +358,60 @@ func BenchmarkCampaignDayTelemetry(b *testing.B) {
 
 // TestTelemetryOverhead guards the design target that full collection
 // (nil-safe cached instruments, one span per task) costs on the order of
-// 5% of a campaign. The assertion uses best-of-N timings and a bound of
-// 25% so a loaded CI machine doesn't flake the suite; run the two
-// CampaignDay benchmarks for the precise ratio.
+// 5% of a campaign. The two arms are interleaved in alternating order and
+// timed by process CPU (rusage), each from a collected heap, and the
+// minimum of N runs per arm is compared against a bound of 25%, so a
+// loaded machine slows both arms alike instead of flaking the suite. Run
+// the two CampaignDay benchmarks for the precise ratio.
 func TestTelemetryOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test skipped in -short mode")
 	}
 	const rounds = 5
-	best := func(tel func() *telemetry.Telemetry) time.Duration {
-		min := time.Duration(math.MaxInt64)
-		for i := 0; i < rounds; i++ {
-			start := time.Now()
-			runCampaign(t, 3, tel())
-			if d := time.Since(start); d < min {
-				min = d
-			}
+	cpuSeconds := func() float64 {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			t.Fatal(err)
 		}
-		return min
+		return float64(ru.Utime.Sec+ru.Stime.Sec) +
+			float64(ru.Utime.Usec+ru.Stime.Usec)/1e6
 	}
-	// Interleave a warm-up of each variant so allocator state is comparable.
+	timed := func(instrument bool) float64 {
+		runtime.GC()
+		t0 := cpuSeconds()
+		var tel *telemetry.Telemetry
+		if instrument {
+			tel = telemetry.New()
+		}
+		runCampaign(t, 3, tel)
+		return cpuSeconds() - t0
+	}
+	// The campaign is single-threaded. With a spare P the runtime's idle
+	// GC mark workers burn otherwise idle CPU, which rusage would charge
+	// to whichever arm collects more often; one P keeps the process CPU
+	// to the work the campaign itself does, mutator and collector both.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// Warm up both variants so allocator state is comparable.
 	runCampaign(t, 1, nil)
 	runCampaign(t, 1, telemetry.New())
 
-	baseline := best(func() *telemetry.Telemetry { return nil })
-	instrumented := best(func() *telemetry.Telemetry { return telemetry.New() })
-	ratio := float64(instrumented) / float64(baseline)
-	t.Logf("baseline %v, instrumented %v, ratio %.3f", baseline, instrumented, ratio)
+	baseline, instrumented := math.Inf(1), math.Inf(1)
+	for i := 0; i < rounds; i++ {
+		var base, inst float64
+		if i%2 == 0 {
+			base = timed(false)
+			inst = timed(true)
+		} else {
+			inst = timed(true)
+			base = timed(false)
+		}
+		baseline = math.Min(baseline, base)
+		instrumented = math.Min(instrumented, inst)
+	}
+	ratio := instrumented / baseline
+	t.Logf("baseline %.3fs CPU, instrumented %.3fs CPU, ratio %.3f", baseline, instrumented, ratio)
 	if ratio > 1.25 {
-		t.Fatalf("telemetry overhead ratio %.3f exceeds bound 1.25 (baseline %v, instrumented %v)",
+		t.Fatalf("telemetry overhead ratio %.3f exceeds bound 1.25 (baseline %.3fs, instrumented %.3fs CPU)",
 			ratio, baseline, instrumented)
 	}
 }

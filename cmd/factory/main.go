@@ -326,17 +326,22 @@ func main() {
 		}
 		srv := monitor.NewServer(mon, tel.Registry())
 		if harv != nil {
-			srv.AttachHarvest(func() any { return harv.Status() })
+			srv.Attach("harvest", func() any { return harv.Status() })
 		}
 		if samp != nil {
-			srv.AttachUtilization(func() any { return samp.Status() })
+			srv.Attach("utilization", func() any { return samp.Status() })
 			// Forensics on demand: each request analyzes the trace so
 			// far against the control room's plan, so the dashboard's
 			// blame panel works during a replay (in-flight runs show
 			// their lateness as of now) and stays current after the
-			// campaign drains.
-			srv.AttachForensics(func() any {
-				rep, err := forensicsReport(c, mon, samp, tel)
+			// campaign drains. Every input is a snapshot or a locked
+			// accessor, so this is safe on the HTTP goroutine.
+			srv.Attach("forensics", func() any {
+				rep, err := forensics.Analyze(forensics.Input{
+					Spans:    tel.Trace().Spans(),
+					Plan:     mon.BlamePlan(c),
+					Timeline: samp,
+				})
 				if err != nil {
 					return map[string]string{"error": err.Error()}
 				}
@@ -346,14 +351,14 @@ func main() {
 		// The SPC endpoint serves the observatory's current snapshot: the
 		// same report shape foreman -spc renders from the v5 tables, here
 		// refreshed live as runs complete during the replay.
-		srv.AttachSPC(func() any { return spcObs.Report() })
+		srv.Attach("spc", func() any { return spcObs.Report() })
 		// The engine panel reads the profiler's live snapshot on the same
 		// refresh interval as every other panel.
-		srv.AttachEngine(func() any { return kprof.Report() })
+		srv.Attach("engine", func() any { return kprof.Report() })
 		if edge != nil {
 			// The serving panel tracks the public edge live: hit rate,
 			// shed fractions, and staleness percentiles as of the replay.
-			srv.AttachServing(func() any { return edge.Stats() })
+			srv.Attach("serving", func() any { return edge.Stats() })
 		}
 		if *pprofOn {
 			srv.EnablePprof()
@@ -610,36 +615,6 @@ func main() {
 }
 
 // writeTo writes one exporter's output to a file.
-// forensicsReport analyzes the campaign's trace against the plan the
-// control room watched — the launch rule for the planned start, the
-// launch-time completion prediction for the planned end, the SLO
-// deadline — splitting each run's lateness into its blame components
-// for the dashboard's blame panel. All inputs are snapshots or locked
-// accessors, so it is safe to call from the HTTP goroutine while the
-// simulation runs.
-func forensicsReport(c *factory.Campaign, mon *monitor.Monitor, samp *usage.Sampler, tel *telemetry.Telemetry) (*forensics.Report, error) {
-	var plan []forensics.PlanEntry
-	for _, r := range mon.Status().Runs {
-		start := r.Start
-		if s := c.Spec(r.Forecast); s != nil {
-			start = float64(r.Day-c.StartDay())*factory.SecondsPerDay + s.StartOffset
-		}
-		end := r.LaunchETA
-		if end == 0 {
-			end = r.ETA
-		}
-		plan = append(plan, forensics.PlanEntry{
-			Forecast: r.Forecast, Day: r.Day, Node: r.Node,
-			Start: start, End: end, Deadline: r.Deadline,
-		})
-	}
-	return forensics.Analyze(forensics.Input{
-		Spans:    tel.Trace().Spans(),
-		Plan:     plan,
-		Timeline: samp,
-	})
-}
-
 func writeTo(path string, write func(w io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -295,7 +295,7 @@ func main() {
 		if *blameFlag != "" {
 			// Before LoadAlerts, so any blame_shift alert the forensics
 			// raise lands in the alerts table too.
-			blameForensics(db, campaign, mon, samp, tel, specs, *blameFlag)
+			blameForensics(db, campaign, mon, samp, tel, *blameFlag)
 		}
 		if *spcFlag != "" {
 			// Likewise before LoadAlerts: out_of_control and changepoint
@@ -668,37 +668,13 @@ func engineprofReport(db *statsdb.DB, kprof *engineprof.Profiler) {
 // the same rows. Each day's dominant cause also feeds the monitor's
 // blame-shift rule, whose alerts join the alert history.
 func blameForensics(db *statsdb.DB, campaign *factory.Campaign, mon *monitor.Monitor,
-	samp *usage.Sampler, tel *telemetry.Telemetry, specs []*forecast.Spec, forecastName string) {
+	samp *usage.Sampler, tel *telemetry.Telemetry, forecastName string) {
 	if forecastName == "all" {
 		forecastName = ""
 	}
-	specOf := make(map[string]*forecast.Spec, len(specs))
-	for _, s := range specs {
-		specOf[s.Name] = s
-	}
-	// The plan blame is measured against is the one the control room
-	// watched: the launch rule (day start + spec offset) for the planned
-	// start, the launch-time completion prediction for the planned end,
-	// and the SLO deadline. Runs the monitor never saw launch (dropped)
-	// get a zero-length plan window and are analyzed as unplanned.
-	var plan []forensics.PlanEntry
-	for _, r := range mon.Status().Runs {
-		start := r.Start
-		if s := specOf[r.Forecast]; s != nil {
-			start = float64(r.Day-campaign.StartDay())*factory.SecondsPerDay + s.StartOffset
-		}
-		end := r.LaunchETA
-		if end == 0 {
-			end = r.ETA
-		}
-		plan = append(plan, forensics.PlanEntry{
-			Forecast: r.Forecast, Day: r.Day, Node: r.Node,
-			Start: start, End: end, Deadline: r.Deadline,
-		})
-	}
 	rep, err := forensics.Analyze(forensics.Input{
 		Spans:    tel.Trace().Spans(),
-		Plan:     plan,
+		Plan:     mon.BlamePlan(campaign),
 		Timeline: samp,
 	})
 	if err != nil {

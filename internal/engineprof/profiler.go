@@ -245,8 +245,8 @@ func (l LabelReport) DwellMean() float64 {
 
 // DepthPoint is one sample of the pending-queue-depth timeline.
 type DepthPoint struct {
-	T     float64 `json:"t"`     // sim time, bucket midpoint
-	Depth int     `json:"depth"` // max pending events in the bucket
+	T     float64 `json:"t" db:"t"`         // sim time, bucket midpoint
+	Depth int     `json:"depth" db:"depth"` // max pending events in the bucket
 }
 
 // Report is a snapshot of everything the profiler has observed. Labels

@@ -9,7 +9,7 @@ package engineprof
 
 import (
 	"fmt"
-	"math"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -22,70 +22,43 @@ const (
 	DepthTableName   = "engine_queue_depth"
 )
 
-// ProfileSchema returns the schema of the engine_profile table: one row
-// per scheduling label.
-func ProfileSchema() statsdb.Schema {
-	return statsdb.Schema{
-		{Name: "label", Type: statsdb.String},
-		{Name: "scheduled", Type: statsdb.Int},
-		{Name: "fired", Type: statsdb.Int},
-		{Name: "cancelled", Type: statsdb.Int},
-		{Name: "wall_sampled", Type: statsdb.Int},
-		{Name: "wall_ns", Type: statsdb.Int},
-		{Name: "wall_max_ns", Type: statsdb.Int},
-		{Name: "wall_hist", Type: statsdb.String}, // comma-joined decade counts
-		{Name: "dwell_sum", Type: statsdb.Float},
-		{Name: "dwell_max", Type: statsdb.Float},
-	}
+// profileRow is one engine_profile row: a LabelReport with its decade
+// histogram flattened to comma-joined counts.
+type profileRow struct {
+	Label       string  `db:"label"`
+	Scheduled   int64   `db:"scheduled"`
+	Fired       int64   `db:"fired"`
+	Cancelled   int64   `db:"cancelled"`
+	WallSampled int64   `db:"wall_sampled"`
+	WallNS      int64   `db:"wall_ns"`
+	WallMaxNS   int64   `db:"wall_max_ns"`
+	WallHist    string  `db:"wall_hist"`
+	DwellSum    float64 `db:"dwell_sum"`
+	DwellMax    float64 `db:"dwell_max"`
 }
 
-// DepthSchema returns the schema of the engine_queue_depth table: the
-// depth timeline in sample order.
-func DepthSchema() statsdb.Schema {
-	return statsdb.Schema{
-		{Name: "seq", Type: statsdb.Int},
-		{Name: "t", Type: statsdb.Float},
-		{Name: "depth", Type: statsdb.Int},
-	}
+// depthRow is one engine_queue_depth row: a depth point and its place
+// in the timeline.
+type depthRow struct {
+	Seq int64 `db:"seq"`
+	DepthPoint
 }
 
 // Migrations returns the engine observatory's schema migrations: v6
-// creates the engine_profile and engine_queue_depth tables. Combine
-// with harvest.Migrations() (v1, v2), usage.Migrations() (v3),
-// forensics.Migrations() (v4) and spc.Migrations() (v5); Migrate tracks
-// each independently.
+// creates the engine_profile and engine_queue_depth tables.
 func Migrations() []statsdb.Migration {
 	return []statsdb.Migration{
 		{
 			Version: 6,
 			Name:    "engine-observatory-tables",
 			Apply: func(db *statsdb.DB) error {
-				if db.Table(ProfileTableName) == nil {
-					t, err := db.CreateTable(ProfileTableName, ProfileSchema())
-					if err != nil {
-						return err
-					}
-					if err := t.CreateIndex("label"); err != nil {
-						return err
-					}
+				if err := statsdb.EnsureTable(db, ProfileTableName, statsdb.SchemaOf[profileRow](), "label"); err != nil {
+					return err
 				}
-				if db.Table(DepthTableName) == nil {
-					if _, err := db.CreateTable(DepthTableName, DepthSchema()); err != nil {
-						return err
-					}
-				}
-				return nil
+				return statsdb.EnsureTable(db, DepthTableName, statsdb.SchemaOf[depthRow]())
 			},
 		},
 	}
-}
-
-// finite guards statsdb's NaN rejection: non-finite floats persist as 0.
-func finite(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return v
 }
 
 // histString flattens the decade histogram for the wall_hist column.
@@ -126,29 +99,24 @@ func LoadReport(db *statsdb.DB, rep *Report) error {
 		if l.Label == "" {
 			return fmt.Errorf("engineprof: label report with empty label")
 		}
-		err := pt.Insert([]statsdb.Value{
-			statsdb.StringVal(l.Label),
-			statsdb.IntVal(l.Scheduled),
-			statsdb.IntVal(l.Fired),
-			statsdb.IntVal(l.Cancelled),
-			statsdb.IntVal(l.WallSampled),
-			statsdb.IntVal(l.WallNS),
-			statsdb.IntVal(l.WallMaxNS),
-			statsdb.StringVal(histString(l.WallHist)),
-			statsdb.FloatVal(finite(l.DwellSum)),
-			statsdb.FloatVal(finite(l.DwellMax)),
-		})
-		if err != nil {
+		row := profileRow{
+			Label:       l.Label,
+			Scheduled:   l.Scheduled,
+			Fired:       l.Fired,
+			Cancelled:   l.Cancelled,
+			WallSampled: l.WallSampled,
+			WallNS:      l.WallNS,
+			WallMaxNS:   l.WallMaxNS,
+			WallHist:    histString(l.WallHist),
+			DwellSum:    l.DwellSum,
+			DwellMax:    l.DwellMax,
+		}
+		if err := statsdb.InsertRow(pt, &row); err != nil {
 			return err
 		}
 	}
 	for i, p := range rep.Depth {
-		err := dt.Insert([]statsdb.Value{
-			statsdb.IntVal(int64(i)),
-			statsdb.FloatVal(finite(p.T)),
-			statsdb.IntVal(int64(p.Depth)),
-		})
-		if err != nil {
+		if err := statsdb.InsertRow(dt, &depthRow{int64(i), p}); err != nil {
 			return err
 		}
 	}
@@ -160,63 +128,35 @@ func LoadReport(db *statsdb.DB, rep *Report) error {
 // and the dashboard panel all derive from the same statsdb rows.
 // Returns an empty report when the tables are absent.
 func ReadReport(db *statsdb.DB) (*Report, error) {
+	rows, err := statsdb.ReadRows[profileRow](db.Table(ProfileTableName))
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{}
-	pt := db.Table(ProfileTableName)
-	if pt == nil {
-		return rep, nil
-	}
-	schema := pt.Schema()
-	col := make(map[string]int, len(schema))
-	for i, c := range schema {
-		col[c.Name] = i
-	}
-	for i := 0; i < pt.Len(); i++ {
-		row := pt.Row(i)
+	for _, r := range rows {
 		rep.Labels = append(rep.Labels, LabelReport{
-			Label:       row[col["label"]].Str(),
-			Scheduled:   row[col["scheduled"]].Int(),
-			Fired:       row[col["fired"]].Int(),
-			Cancelled:   row[col["cancelled"]].Int(),
-			WallSampled: row[col["wall_sampled"]].Int(),
-			WallNS:      row[col["wall_ns"]].Int(),
-			WallMaxNS:   row[col["wall_max_ns"]].Int(),
-			WallHist:    parseHist(row[col["wall_hist"]].Str()),
-			DwellSum:    row[col["dwell_sum"]].Float(),
-			DwellMax:    row[col["dwell_max"]].Float(),
+			Label:       r.Label,
+			Scheduled:   r.Scheduled,
+			Fired:       r.Fired,
+			Cancelled:   r.Cancelled,
+			WallSampled: r.WallSampled,
+			WallNS:      r.WallNS,
+			WallMaxNS:   r.WallMaxNS,
+			WallHist:    parseHist(r.WallHist),
+			DwellSum:    r.DwellSum,
+			DwellMax:    r.DwellMax,
 		})
 	}
 	sortLabels(rep.Labels)
-	if dt := db.Table(DepthTableName); dt != nil {
-		dSchema := dt.Schema()
-		dcol := make(map[string]int, len(dSchema))
-		for i, c := range dSchema {
-			dcol[c.Name] = i
-		}
-		type seqPoint struct {
-			seq int64
-			p   DepthPoint
-		}
-		pts := make([]seqPoint, 0, dt.Len())
-		for i := 0; i < dt.Len(); i++ {
-			row := dt.Row(i)
-			pts = append(pts, seqPoint{
-				seq: row[dcol["seq"]].Int(),
-				p: DepthPoint{
-					T:     row[dcol["t"]].Float(),
-					Depth: int(row[dcol["depth"]].Int()),
-				},
-			})
-		}
-		// Rows normally come back in insertion order, but the timeline's
-		// meaning depends on order, so honor the explicit seq column.
-		for i := 1; i < len(pts); i++ {
-			for j := i; j > 0 && pts[j].seq < pts[j-1].seq; j-- {
-				pts[j], pts[j-1] = pts[j-1], pts[j]
-			}
-		}
-		for _, sp := range pts {
-			rep.Depth = append(rep.Depth, sp.p)
-		}
+	depth, err := statsdb.ReadRows[depthRow](db.Table(DepthTableName))
+	if err != nil {
+		return nil, err
+	}
+	// Rows normally come back in insertion order, but the timeline's
+	// meaning depends on order, so honor the explicit seq column.
+	sort.SliceStable(depth, func(i, j int) bool { return depth[i].Seq < depth[j].Seq })
+	for _, d := range depth {
+		rep.Depth = append(rep.Depth, d.DepthPoint)
 	}
 	return rep, nil
 }

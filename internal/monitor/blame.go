@@ -1,6 +1,11 @@
 package monitor
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/factory"
+	"repro/internal/forensics"
+)
 
 // BlameShiftRule fires when the dominant lateness component changes
 // between campaign days — the SPC "assignable cause" signal: a factory
@@ -30,8 +35,7 @@ type blameState struct {
 // its summed positive lateness. Days arriving out of order are ignored.
 // When the dominant component differs from the previous qualifying day's,
 // the blame_shift alert fires; while the component stays put the alert
-// resolves. Plain values keep the monitor free of a forensics import —
-// callers iterate a forensics report's Days.
+// resolves. Callers iterate a forensics report's Days.
 func (m *Monitor) ObserveBlame(day int, dominant string, lateness float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -62,4 +66,30 @@ func (m *Monitor) ObserveBlame(day int, dominant string, lateness float64) {
 		Message: fmt.Sprintf("dominant lateness cause shifted from %s (day %d) to %s (day %d)",
 			prev.dominant, prev.day, dominant, day),
 	})
+}
+
+// BlamePlan is the plan lateness blame is measured against: the one the
+// control room watched for campaign c. A run's planned start is the
+// launch rule (day start + spec offset), its planned end the launch-time
+// completion prediction (the current ETA when none was made), and its
+// deadline the SLO's. Runs the monitor never saw launch (dropped) get a
+// zero-length plan window and are analyzed as unplanned. It reads a
+// Status snapshot, so it is safe to call while the simulation runs.
+func (m *Monitor) BlamePlan(c *factory.Campaign) []forensics.PlanEntry {
+	var plan []forensics.PlanEntry
+	for _, r := range m.Status().Runs {
+		start := r.Start
+		if s := c.Spec(r.Forecast); s != nil {
+			start = float64(r.Day-c.StartDay())*factory.SecondsPerDay + s.StartOffset
+		}
+		end := r.LaunchETA
+		if end == 0 {
+			end = r.ETA
+		}
+		plan = append(plan, forensics.PlanEntry{
+			Forecast: r.Forecast, Day: r.Day, Node: r.Node,
+			Start: start, End: end, Deadline: r.Deadline,
+		})
+	}
+	return plan
 }

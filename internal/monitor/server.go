@@ -11,83 +11,46 @@ import (
 
 // Server exposes the control room over HTTP:
 //
-//	GET /                 live HTML dashboard (auto-refreshing)
-//	GET /healthz          liveness JSON: clock, tracked runs, firing alerts
-//	GET /metrics          the telemetry registry in Prometheus text format
-//	GET /api/status       the full Status snapshot as JSON
-//	GET /api/alerts       the alert history as JSON
-//	GET /api/slo          the SLO report as JSON
-//	GET /api/harvest      the harvest pipeline's status (when attached)
-//	GET /api/utilization  the usage sampler's status (when attached)
-//	GET /api/forensics    the lateness-blame report (when attached)
-//	GET /api/spc          the SPC control-chart report (when attached)
-//	GET /api/engine       the kernel profiler's hotspot report (when attached)
-//	GET /api/serving      the product-serving edge's stats (when attached)
-//	GET /debug/pprof/     Go profiling endpoints (when EnablePprof)
+//	GET /              live HTML dashboard (auto-refreshing)
+//	GET /healthz       liveness JSON: clock, tracked runs, firing alerts
+//	GET /metrics       the telemetry registry in Prometheus text format
+//	GET /api/status    the full Status snapshot as JSON
+//	GET /api/alerts    the alert history as JSON
+//	GET /api/slo       the SLO report as JSON
+//	GET /api/{name}    the report attached under name, as JSON (404 when none is)
+//	GET /debug/pprof/  Go profiling endpoints (when EnablePprof)
 //
+// The dashboard has a panel for each of the harvest, utilization,
+// forensics, spc, engine and serving reports, shown once it is attached.
 // Handlers read monitor snapshots under its lock and never touch the
 // simulation engine, so the server can run on wall-clock goroutines
 // while a campaign replays. All handlers are httptest-able via Handler.
 type Server struct {
-	mon         *Monitor
-	reg         *telemetry.Registry
-	harvestFn   func() any
-	utilFn      func() any
-	forensicsFn func() any
-	spcFn       func() any
-	engineFn    func() any
-	servingFn   func() any
-	runtime     *telemetry.RuntimeCollector
-	pprofOn     bool
+	mon     *Monitor
+	reg     *telemetry.Registry
+	reports map[string]func() any
+	runtime *telemetry.RuntimeCollector
+	pprofOn bool
 }
 
 // NewServer builds a Server for a monitor. reg (may be nil) backs
 // /metrics and receives the Go runtime gauges, collected on every
 // scrape — the control room watches its own serving process too.
 func NewServer(mon *Monitor, reg *telemetry.Registry) *Server {
-	return &Server{mon: mon, reg: reg, runtime: telemetry.NewRuntimeCollector(reg)}
+	return &Server{
+		mon:     mon,
+		reg:     reg,
+		reports: make(map[string]func() any),
+		runtime: telemetry.NewRuntimeCollector(reg),
+	}
 }
 
-// AttachHarvest wires the harvest pipeline's status into the server: fn
-// (typically a closure over Harvester.Status) backs GET /api/harvest and
-// the dashboard's harvest panel. The server stays decoupled from the
-// harvest package — it serves whatever snapshot fn returns. Call before
-// the server starts handling requests.
-func (s *Server) AttachHarvest(fn func() any) { s.harvestFn = fn }
-
-// AttachUtilization wires the usage sampler's status into the server: fn
-// (typically a closure over Sampler.Status) backs GET /api/utilization
-// and the dashboard's heatmap panel. Call before the server starts
-// handling requests.
-func (s *Server) AttachUtilization(fn func() any) { s.utilFn = fn }
-
-// AttachForensics wires a lateness-blame report into the server: fn
-// (typically a closure over forensics.ReadReport on the stats database,
-// so the endpoint serves exactly the persisted rows the CLI report
-// renders) backs GET /api/forensics and the dashboard's blame panel.
-// Call before the server starts handling requests.
-func (s *Server) AttachForensics(fn func() any) { s.forensicsFn = fn }
-
-// AttachSPC wires the SPC observatory's control-chart report into the
-// server: fn (typically a closure over spc.ReadReport on the stats
-// database, or a live Observatory.Report) backs GET /api/spc and the
-// dashboard's control-chart panel. Call before the server starts
-// handling requests.
-func (s *Server) AttachSPC(fn func() any) { s.spcFn = fn }
-
-// AttachEngine wires the kernel profiler's report into the server: fn
-// (typically a closure over engineprof.Profiler.Report, whose snapshot
-// is safe to take while the engine runs) backs GET /api/engine and the
-// dashboard's engine panel. Call before the server starts handling
-// requests.
-func (s *Server) AttachEngine(fn func() any) { s.engineFn = fn }
-
-// AttachServing wires the product-serving edge into the server: fn
-// (typically a closure over serving.Edge.Stats, whose snapshot is safe to
-// take while the simulation runs) backs GET /api/serving and the
-// dashboard's serving panel. Call before the server starts handling
-// requests.
-func (s *Server) AttachServing(fn func() any) { s.servingFn = fn }
+// Attach serves a report at GET /api/{name}: each request encodes what
+// fn returns, so fn must be safe to call from the HTTP goroutine while
+// the simulation runs (a locked snapshot, or a read of persisted statsdb
+// rows). The server stays decoupled from the reporting packages. Call
+// before the server starts handling requests.
+func (s *Server) Attach(name string, fn func() any) { s.reports[name] = fn }
 
 // EnablePprof mounts net/http/pprof under /debug/pprof/ on the next
 // Handler call — opt-in, because the profiler exposes stacks and heap
@@ -103,12 +66,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/status", s.handleStatus)
 	mux.HandleFunc("GET /api/alerts", s.handleAlerts)
 	mux.HandleFunc("GET /api/slo", s.handleSLO)
-	mux.HandleFunc("GET /api/harvest", s.handleHarvest)
-	mux.HandleFunc("GET /api/utilization", s.handleUtilization)
-	mux.HandleFunc("GET /api/forensics", s.handleForensics)
-	mux.HandleFunc("GET /api/spc", s.handleSPC)
-	mux.HandleFunc("GET /api/engine", s.handleEngine)
-	mux.HandleFunc("GET /api/serving", s.handleServing)
+	mux.HandleFunc("GET /api/{report}", s.handleReport)
 	if s.pprofOn {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -152,44 +110,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleUtilization(w http.ResponseWriter, r *http.Request) {
-	if s.utilFn == nil {
-		http.Error(w, "no usage sampler attached", http.StatusNotFound)
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("report")
+	fn, ok := s.reports[name]
+	if !ok {
+		http.Error(w, "no "+name+" report attached", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, s.utilFn())
-}
-
-func (s *Server) handleForensics(w http.ResponseWriter, r *http.Request) {
-	if s.forensicsFn == nil {
-		http.Error(w, "no forensics report attached", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, s.forensicsFn())
-}
-
-func (s *Server) handleSPC(w http.ResponseWriter, r *http.Request) {
-	if s.spcFn == nil {
-		http.Error(w, "no spc observatory attached", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, s.spcFn())
-}
-
-func (s *Server) handleEngine(w http.ResponseWriter, r *http.Request) {
-	if s.engineFn == nil {
-		http.Error(w, "no kernel profiler attached", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, s.engineFn())
-}
-
-func (s *Server) handleServing(w http.ResponseWriter, r *http.Request) {
-	if s.servingFn == nil {
-		http.Error(w, "no serving edge attached", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, s.servingFn())
+	writeJSON(w, fn())
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -206,14 +134,6 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.mon.Report())
-}
-
-func (s *Server) handleHarvest(w http.ResponseWriter, r *http.Request) {
-	if s.harvestFn == nil {
-		http.Error(w, "no harvester attached", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, s.harvestFn())
 }
 
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {

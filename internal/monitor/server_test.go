@@ -172,3 +172,51 @@ func TestDashboardEndpoint(t *testing.T) {
 		t.Errorf("unknown path = %d, want 404", code)
 	}
 }
+
+// TestReportEndpoints covers GET /api/{name}: each dashboard panel's
+// report is 404 until attached and serves what its function returns once
+// it is, unknown names are 404, and the fixed /api routes keep their own
+// handlers even when a report is attached under the same name.
+func TestReportEndpoints(t *testing.T) {
+	panels := []string{"harvest", "utilization", "forensics", "spc", "engine", "serving"}
+	m, _, bare := testServer(t)
+	for _, name := range append(panels, "nosuch") {
+		if code, _, _ := get(t, bare, "/api/"+name); code != 404 {
+			t.Errorf("unattached /api/%s = %d, want 404", name, code)
+		}
+	}
+
+	s := NewServer(m, nil)
+	for _, name := range append(panels, "status", "alerts", "slo") {
+		s.Attach(name, func() any { return map[string]string{"report": name} })
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	for _, name := range panels {
+		code, body, ctype := get(t, srv, "/api/"+name)
+		var got map[string]string
+		if code != 200 || !strings.HasPrefix(ctype, "application/json") ||
+			json.Unmarshal([]byte(body), &got) != nil || got["report"] != name {
+			t.Errorf("attached /api/%s = %d %s %s", name, code, ctype, body)
+		}
+	}
+	if code, _, _ := get(t, srv, "/api/nosuch"); code != 404 {
+		t.Errorf("/api/nosuch = %d, want 404", code)
+	}
+
+	var st Status
+	var alerts []Alert
+	var slo SLOReport
+	for path, v := range map[string]any{"/api/status": &st, "/api/alerts": &alerts, "/api/slo": &slo} {
+		code, body, _ := get(t, srv, path)
+		if code != 200 || strings.Contains(body, `"report"`) {
+			t.Errorf("%s = %d, served an attached report: %s", path, code, body)
+		}
+		if err := json.Unmarshal([]byte(body), v); err != nil {
+			t.Errorf("%s: %v\n%s", path, err, body)
+		}
+	}
+	if len(st.Runs) != 1 || len(alerts) == 0 || slo.Total.Runs != 1 {
+		t.Errorf("fixed routes lost their payloads: %d runs, %d alerts, slo %+v", len(st.Runs), len(alerts), slo.Total)
+	}
+}
