@@ -38,6 +38,11 @@ type JobEvent struct {
 	Node string
 	Job  string // job label; empty for fail/repair
 	Time float64
+	// Host is the node itself and Handle the job itself (nil for
+	// fail/repair), so an observer finds its own state for them without
+	// comparing names or labels.
+	Host   *Node
+	Handle *Job
 }
 
 // Node is one compute node. Create nodes through Cluster.AddNode.
@@ -87,17 +92,32 @@ func (n *Node) Utilization() float64 {
 	return n.res.BusySeconds() / (n.res.Capacity() * elapsed)
 }
 
-// emit delivers a lifecycle event to the cluster's observer, if any.
-func (n *Node) emit(kind, job string) {
-	if n.cl != nil && n.cl.onEvent != nil {
-		n.cl.onEvent(JobEvent{Kind: kind, Node: n.name, Job: job, Time: n.eng.Now()})
+// emit delivers a lifecycle event to the cluster's observer, if any. j
+// is nil for node events.
+func (n *Node) emit(kind string, j *Job) {
+	if n.cl == nil || n.cl.onEvent == nil {
+		return
 	}
+	ev := JobEvent{Kind: kind, Node: n.name, Time: n.eng.Now(), Host: n, Handle: j}
+	if j != nil {
+		ev.Job = j.task.Label()
+	}
+	n.cl.onEvent(ev)
 }
 
 // Job is a serial job executing on a node.
 type Job struct {
 	task *ps.Task
 	node *Node
+	done func()
+}
+
+// finish is the job's task completion: report it, then run done.
+func (j *Job) finish() {
+	j.node.emit(EventFinish, j)
+	if j.done != nil {
+		j.done()
+	}
 }
 
 // Node returns the node the job runs on.
@@ -127,7 +147,7 @@ func (j *Job) Cancel() {
 		return
 	}
 	j.task.Cancel()
-	j.node.emit(EventCancel, j.task.Label())
+	j.node.emit(EventCancel, j)
 }
 
 // Submit starts a serial job on the node. work is in reference
@@ -135,14 +155,10 @@ func (j *Job) Cancel() {
 // node is allowed — the job waits frozen until the node is repaired, which
 // models scripts queued against an unavailable machine.
 func (n *Node) Submit(label string, work float64, done func()) *Job {
-	t := n.res.Submit(label, work, func() {
-		n.emit(EventFinish, label)
-		if done != nil {
-			done()
-		}
-	})
-	n.emit(EventSubmit, label)
-	return &Job{task: t, node: n}
+	j := &Job{node: n, done: done}
+	j.task = n.res.Submit(label, work, j.finish)
+	n.emit(EventSubmit, j)
+	return j
 }
 
 // SubmitParallel starts a parallel "mega-job" that can consume up to
@@ -157,14 +173,10 @@ func (n *Node) SubmitParallel(label string, work float64, width int, done func()
 	if width > n.cpus {
 		width = n.cpus
 	}
-	t := n.res.SubmitCapped(label, work, float64(width)*n.speed, func() {
-		n.emit(EventFinish, label)
-		if done != nil {
-			done()
-		}
-	})
-	n.emit(EventSubmit, label)
-	return &Job{task: t, node: n}
+	j := &Job{node: n, done: done}
+	j.task = n.res.SubmitCapped(label, work, float64(width)*n.speed, j.finish)
+	n.emit(EventSubmit, j)
+	return j
 }
 
 // Fail marks the node down. Running jobs stop progressing but keep their
@@ -176,7 +188,7 @@ func (n *Node) Fail() {
 	}
 	n.down = true
 	n.res.Freeze()
-	n.emit(EventFail, "")
+	n.emit(EventFail, nil)
 }
 
 // Repair brings a failed node back.
@@ -186,7 +198,7 @@ func (n *Node) Repair() {
 	}
 	n.down = false
 	n.res.Thaw()
-	n.emit(EventRepair, "")
+	n.emit(EventRepair, nil)
 }
 
 // Cluster is a named collection of nodes sharing one simulation engine.

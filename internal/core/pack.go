@@ -162,7 +162,7 @@ func Pack(nodes []NodeInfo, runs []Run, h Heuristic) (map[string]string, error) 
 		reg.Describe("core_pack_iterations_total", "Bin-packing fit evaluations across all Pack calls.")
 		reg.Counter("core_planner_invocations_total",
 			telemetry.Labels{"pass": "pack", "heuristic": h.String()}).Inc()
-		span := t.Trace().Begin("planner", "pack:"+h.String(), "planner", nil)
+		span := t.Trace().Begin("planner", "pack:"+h.String(), "planner", telemetry.SpanRef{})
 		defer func() {
 			reg.Counter("core_pack_iterations_total", nil).Add(float64(iters))
 			span.SetArg("iterations", strconv.Itoa(iters))

@@ -50,12 +50,12 @@ func (s *Schedule) Feasible() bool { return s.Prediction.Feasible(s.Plan) }
 // corrupt the caller's data. The plan is validated once, by Pack; every
 // later edit re-sweeps only the affected nodes.
 func BuildSchedule(nodes []NodeInfo, runs []Run, opts ScheduleOptions) (*Schedule, error) {
-	var span *telemetry.Span
+	var span telemetry.SpanRef
 	if t := plannerTelemetry(); t != nil {
 		t.Registry().Describe("core_planner_invocations_total", "Planner passes executed, by pass and heuristic.")
 		t.Registry().Counter("core_planner_invocations_total",
 			telemetry.Labels{"pass": "schedule", "heuristic": opts.Heuristic.String()}).Inc()
-		span = t.Trace().Begin("planner", "schedule:"+opts.Heuristic.String(), "planner", nil)
+		span = t.Trace().Begin("planner", "schedule:"+opts.Heuristic.String(), "planner", telemetry.SpanRef{})
 	}
 	defer span.EndSpan()
 	nodes = append([]NodeInfo(nil), nodes...)

@@ -192,10 +192,10 @@ func Run(arch Architecture, p Params) Result {
 	tel.SetClock(eng.Now)
 	eng.Instrument(tel.Registry())
 	link.Instrument(tel)
-	var expSpan *telemetry.Span
+	var expSpan telemetry.SpanRef
 	if tel != nil {
 		expSpan = tel.Trace().Begin("experiment",
-			fmt.Sprintf("arch%d:%s", int(arch), p.Spec.Name), "dataflow", nil)
+			fmt.Sprintf("arch%d:%s", int(arch), p.Spec.Name), "dataflow", telemetry.SpanRef{})
 	}
 
 	dir := "/runs/" + p.Spec.Name + "/day1"

@@ -123,9 +123,9 @@ type Campaign struct {
 	prepared    bool
 
 	// Telemetry wiring (all nil when cfg.Telemetry is nil).
-	campaignSpan *telemetry.Span
-	daySpan      *telemetry.Span
-	runSpans     map[string]*telemetry.Span // keyed like active
+	campaignSpan telemetry.SpanRef
+	daySpan      telemetry.SpanRef
+	runSpans     map[string]telemetry.SpanRef // keyed like active
 	mActiveRuns  *telemetry.Gauge
 	mCarryOver   *telemetry.Gauge
 	mWalltimes   *telemetry.Histogram
@@ -172,7 +172,7 @@ func New(cfg Config) (*Campaign, error) {
 		reg.Describe("factory_active_runs", "Runs currently executing.")
 		reg.Describe("factory_wip_carryover", "Runs still executing at midnight — the WIP carry-over of §4.3.1.")
 		reg.Describe("factory_run_walltime_seconds", "Completed run walltimes.")
-		c.runSpans = make(map[string]*telemetry.Span)
+		c.runSpans = make(map[string]telemetry.SpanRef)
 		c.mActiveRuns = reg.Gauge("factory_active_runs", nil)
 		c.mCarryOver = reg.Gauge("factory_wip_carryover", nil)
 		c.mWalltimes = reg.Histogram("factory_run_walltime_seconds", nil, nil)
@@ -279,7 +279,7 @@ func (c *Campaign) Prepare() {
 	c.prepared = true
 	if tel := c.cfg.Telemetry; tel != nil {
 		c.campaignSpan = tel.Trace().Begin("campaign",
-			fmt.Sprintf("campaign-%d", c.cfg.Year), "factory", nil)
+			fmt.Sprintf("campaign-%d", c.cfg.Year), "factory", telemetry.SpanRef{})
 		c.campaignSpan.SetArg("days", fmt.Sprint(c.cfg.Days))
 		c.campaignSpan.SetArg("forecasts", fmt.Sprint(len(c.order)))
 	}
@@ -383,7 +383,7 @@ func (c *Campaign) launch(day int, name string, spec *forecast.Spec) {
 	})
 
 	runKey := fmt.Sprintf("%s/%d", name, day)
-	var runSpan *telemetry.Span
+	var runSpan telemetry.SpanRef
 	if tel := c.cfg.Telemetry; tel != nil {
 		tel.Registry().Counter("factory_launches_total", telemetry.Labels{"forecast": name}).Inc()
 		runSpan = tel.Trace().Begin("run", runKey, nodeName, c.daySpan)
@@ -415,7 +415,7 @@ func (c *Campaign) launch(day int, name string, spec *forecast.Spec) {
 				tel.Registry().Counter("factory_runs_completed_total", telemetry.Labels{"forecast": name}).Inc()
 				c.mActiveRuns.Add(-1)
 				c.mWalltimes.Observe(res.Walltime)
-				if sp := c.runSpans[runKey]; sp != nil {
+				if sp, ok := c.runSpans[runKey]; ok {
 					sp.EndSpan()
 					delete(c.runSpans, runKey)
 				}

@@ -39,7 +39,7 @@ func benchReplay(nodes, runsWanted, incs int, analyze bool) int {
 	sampler.Start(horizon)
 
 	var plan []PlanEntry
-	root := tr.Begin("campaign", "bench", "factory", nil)
+	root := tr.Begin("campaign", "bench", "factory", telemetry.SpanRef{})
 	runs := 0
 	for d := 0; d < days && runs < runsWanted; d++ {
 		for f := 0; f < nodes && runs < runsWanted; f++ {

@@ -313,7 +313,7 @@ func (h *Harvester) Pass() (PassStats, error) {
 
 	now := h.opts.Clock()
 	wallStart := time.Now()
-	span := h.opts.Telemetry.Trace().Begin("harvest", fmt.Sprintf("pass-%03d", h.passes+1), "harvest", nil)
+	span := h.opts.Telemetry.Trace().Begin("harvest", fmt.Sprintf("pass-%03d", h.passes+1), "harvest", telemetry.SpanRef{})
 	stats := PassStats{Pass: h.passes + 1, At: now}
 
 	err := func() error {

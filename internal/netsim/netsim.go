@@ -76,9 +76,9 @@ func (l *Link) Instrument(tel *telemetry.Telemetry) {
 // Transfer moves size bytes over the link, invoking done on delivery.
 func (l *Link) Transfer(label string, size float64, done func()) *ps.Task {
 	start := l.eng.Now()
-	var span *telemetry.Span
+	var span telemetry.SpanRef
 	if l.tel != nil {
-		span = l.tel.Trace().Begin("transfer", label, "link:"+l.name, nil)
+		span = l.tel.Trace().Begin("transfer", label, "link:"+l.name, telemetry.SpanRef{})
 		span.SetArg("bytes", fmt.Sprintf("%.0f", size))
 	}
 	return l.res.Submit(label, size, func() {

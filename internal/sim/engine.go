@@ -17,11 +17,12 @@
 // is recycled into the next schedule call, so a steady-state simulation
 // allocates nothing per event beyond the caller's closure. Timer handles
 // stay safe across recycling through a generation counter — a handle to a
-// fired event never aliases the event's next life.
+// fired event never aliases the event's next life. The queue itself is a
+// heap of pointer-free entries (time, sequence, event id), so moving
+// events through it costs no garbage-collector write barriers.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -57,10 +58,16 @@ type Probe interface {
 type Engine struct {
 	now     float64
 	seq     int64
-	queue   eventQueue
-	free    []*event // recycled events; see Timer for the aliasing guard
+	queue   []entry  // min-heap by (when, seq)
+	events  []*event // every event struct, by id
+	pos     []int32  // each event's position in queue, by id
+	free    []int32  // ids of recycled events; see Timer for the aliasing guard
 	running bool
 	stopped bool
+
+	// labels are the scopes' names by id; events carry the id.
+	labels   []string
+	labelIDs map[string]int32
 
 	fired int64 // events delivered since creation
 
@@ -73,17 +80,25 @@ type Engine struct {
 	probeEvery int
 	probeTick  int
 
-	// Optional telemetry handles, resolved once by Instrument so the
-	// per-event cost is a few nil-safe atomic operations.
-	mEvents  *telemetry.Counter
-	mClock   *telemetry.Gauge
-	mPending *telemetry.Gauge
-	mLag     *telemetry.Gauge
+	// Optional telemetry handles, resolved once by Instrument. The
+	// kernel publishes to them every publishEvery fires and whenever Run
+	// or RunUntil returns (publish), so the per-event cost is a counter
+	// comparison rather than several atomic writes. published is the
+	// fire count already added to mEvents.
+	mEvents   *telemetry.Counter
+	mClock    *telemetry.Gauge
+	mPending  *telemetry.Gauge
+	mLag      *telemetry.Gauge
+	published int64
 }
+
+// publishEvery is how many fires may pass between publications of the
+// kernel metrics while a run is in progress.
+const publishEvery = 64
 
 // NewEngine returns an engine with the clock at time zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{labels: []string{Untagged}, labelIDs: map[string]int32{Untagged: 0}}
 }
 
 // Now returns the current virtual time in seconds.
@@ -126,8 +141,10 @@ func (e *Engine) SetProbeSampling(n int) {
 // tracks the virtual clock, sim_pending_events gauges the event-queue
 // length (a growing queue while the clock stalls is the signature of an
 // engine pile-up), and sim_replay_lag_seconds (fed by ObserveReplayLag)
-// shows how far a paced replay trails its wall-clock schedule. A nil
-// registry detaches the instruments.
+// shows how far a paced replay trails its wall-clock schedule. The first
+// three are exact whenever Run or RunUntil returns and at most
+// publishEvery fires behind while one is in progress. A nil registry
+// detaches the instruments.
 func (e *Engine) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		e.mEvents, e.mClock, e.mPending, e.mLag = nil, nil, nil, nil
@@ -141,6 +158,18 @@ func (e *Engine) Instrument(reg *telemetry.Registry) {
 	e.mClock = reg.Gauge("sim_clock_seconds", nil)
 	e.mPending = reg.Gauge("sim_pending_events", nil)
 	e.mLag = reg.Gauge("sim_replay_lag_seconds", nil)
+	e.published = e.fired
+	e.publish()
+}
+
+// publish brings the kernel metrics up to date.
+func (e *Engine) publish() {
+	if e.mEvents == nil {
+		return
+	}
+	e.mEvents.Add(float64(e.fired - e.published))
+	e.published = e.fired
+	e.mClock.Set(e.now)
 	e.mPending.Set(float64(len(e.queue)))
 }
 
@@ -158,12 +187,18 @@ func (e *Engine) ObserveReplayLag(expected float64) {
 type event struct {
 	when  float64
 	born  float64 // sim time the event was scheduled
-	seq   int64
-	index int // index in the heap, -1 once fired or cancelled
 	gen   uint64
-	label string
+	id    int32 // index in owner.events
+	label int32 // index in owner.labels
 	fn    func()
 	owner *Engine
+}
+
+// entry is one queued event: its ordering key and its event id.
+type entry struct {
+	when float64
+	seq  int64
+	id   int32
 }
 
 // Timer is a handle to a scheduled event. The zero Timer is inert: Active
@@ -187,7 +222,9 @@ func (t Timer) When() float64 { return t.when }
 
 // Active reports whether the timer is still pending.
 func (t Timer) Active() bool {
-	return t.ev != nil && t.ev.gen == t.gen && t.ev.index >= 0
+	// An event leaves the queue (fired or cancelled) exactly when its
+	// generation is bumped.
+	return t.ev != nil && t.ev.gen == t.gen
 }
 
 // Cancel removes the timer from the event queue, reporting whether it was
@@ -196,16 +233,15 @@ func (t Timer) Active() bool {
 // serving a different, live event).
 func (t Timer) Cancel() bool {
 	ev := t.ev
-	if ev == nil || ev.gen != t.gen || ev.index < 0 {
+	if ev == nil || ev.gen != t.gen {
 		return false
 	}
 	e := ev.owner
-	heap.Remove(&e.queue, ev.index)
+	e.remove(int(e.pos[ev.id]))
 	if e.probe != nil {
-		e.probe.EventCancelled(ev.label, ev.born, ev.when, e.now, len(e.queue))
+		e.probe.EventCancelled(e.labels[ev.label], ev.born, ev.when, e.now, len(e.queue))
 	}
 	e.recycle(ev)
-	e.mPending.Set(float64(len(e.queue)))
 	return true
 }
 
@@ -215,9 +251,7 @@ func (t Timer) Cancel() bool {
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
-	ev.label = ""
-	ev.index = -1
-	e.free = append(e.free, ev)
+	e.free = append(e.free, ev.id)
 }
 
 // Scope is a labeled scheduler over an engine. Every subsystem that
@@ -228,6 +262,7 @@ func (e *Engine) recycle(ev *event) {
 type Scope struct {
 	e     *Engine
 	label string
+	id    int32 // label's index in e.labels
 }
 
 // Scope returns a labeled scheduler. An empty name falls back to the
@@ -236,7 +271,13 @@ func (e *Engine) Scope(name string) Scope {
 	if name == "" {
 		name = Untagged
 	}
-	return Scope{e: e, label: name}
+	id, ok := e.labelIDs[name]
+	if !ok {
+		id = int32(len(e.labels))
+		e.labels = append(e.labels, name)
+		e.labelIDs[name] = id
+	}
+	return Scope{e: e, label: name, id: id}
 }
 
 // Label returns the scope's label.
@@ -251,7 +292,7 @@ func (s Scope) Now() float64 { return s.e.now }
 // At schedules fn at absolute virtual time when, tagged with the scope's
 // label. The same rules as Engine.At apply.
 func (s Scope) At(when float64, fn func()) Timer {
-	return s.e.schedule(s.label, when, fn)
+	return s.e.schedule(s.id, when, fn)
 }
 
 // After schedules fn d seconds from now, tagged with the scope's label.
@@ -260,7 +301,7 @@ func (s Scope) After(d float64, fn func()) Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: After called with negative delay %v", d))
 	}
-	return s.e.schedule(s.label, s.e.now+d, fn)
+	return s.e.schedule(s.id, s.e.now+d, fn)
 }
 
 // At schedules fn to run at absolute virtual time when, in the untagged
@@ -269,7 +310,7 @@ func (s Scope) After(d float64, fn func()) Timer {
 // fires after all currently queued events for this instant that were
 // scheduled earlier.
 func (e *Engine) At(when float64, fn func()) Timer {
-	return e.schedule(Untagged, when, fn)
+	return e.schedule(0, when, fn)
 }
 
 // After schedules fn to run d seconds from now, in the untagged scope.
@@ -278,12 +319,12 @@ func (e *Engine) After(d float64, fn func()) Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: After called with negative delay %v", d))
 	}
-	return e.schedule(Untagged, e.now+d, fn)
+	return e.schedule(0, e.now+d, fn)
 }
 
 // schedule enqueues one event, reusing a recycled event struct when the
 // free list has one.
-func (e *Engine) schedule(label string, when float64, fn func()) Timer {
+func (e *Engine) schedule(label int32, when float64, fn func()) Timer {
 	if fn == nil {
 		panic("sim: At called with nil function")
 	}
@@ -296,17 +337,17 @@ func (e *Engine) schedule(label string, when float64, fn func()) Timer {
 	e.seq++
 	var ev *event
 	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
+		ev = e.events[e.free[n-1]]
 		e.free = e.free[:n-1]
 	} else {
-		ev = &event{owner: e}
+		ev = &event{owner: e, id: int32(len(e.events))}
+		e.events = append(e.events, ev)
+		e.pos = append(e.pos, 0)
 	}
-	ev.when, ev.born, ev.seq, ev.label, ev.fn = when, e.now, e.seq, label, fn
-	heap.Push(&e.queue, ev)
-	e.mPending.Set(float64(len(e.queue)))
+	ev.when, ev.born, ev.label, ev.fn = when, e.now, label, fn
+	e.push(entry{when: when, seq: e.seq, id: ev.id})
 	if e.probe != nil {
-		e.probe.EventScheduled(label, e.now, when, len(e.queue))
+		e.probe.EventScheduled(e.labels[label], e.now, when, len(e.queue))
 	}
 	return Timer{ev: ev, gen: ev.gen, when: when}
 }
@@ -333,17 +374,17 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*event)
+	ev := e.events[e.pop()]
 	e.now = ev.when
 	e.fired++
-	fn, label, born, when := ev.fn, ev.label, ev.born, ev.when
+	fn, label, born, when := ev.fn, e.labels[ev.label], ev.born, ev.when
 	// Recycle before running the handler: the handler's own scheduling
 	// reuses this struct while it is still hot in cache, and the
 	// generation bump has already invalidated stale handles.
 	e.recycle(ev)
-	e.mEvents.Inc()
-	e.mClock.Set(e.now)
-	e.mPending.Set(float64(len(e.queue)))
+	if e.mEvents != nil && e.fired-e.published >= publishEvery {
+		e.publish()
+	}
 	if p := e.probe; p != nil {
 		pending := len(e.queue)
 		wall := time.Duration(-1)
@@ -374,6 +415,7 @@ func (e *Engine) Run() float64 {
 	defer func() { e.running = false }()
 	for !e.stopped && e.Step() {
 	}
+	e.publish()
 	return e.now
 }
 
@@ -392,40 +434,88 @@ func (e *Engine) RunUntil(deadline float64) float64 {
 	}
 	if !e.stopped && deadline > e.now {
 		e.now = deadline
-		e.mClock.Set(e.now)
 	}
+	e.publish()
 	return e.now
 }
 
-// eventQueue is a min-heap ordered by (when, seq).
-type eventQueue []*event
+// The queue is a binary min-heap of entries ordered by (when, seq). seq
+// is unique, so the order is total and the heap's layout never affects
+// which event fires next. Every move updates the moved event's position,
+// which Cancel needs to remove it.
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+func (e *Engine) less(i, j int) bool {
+	a, b := &e.queue[i], &e.queue[j]
+	if a.when != b.when {
+		return a.when < b.when
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
+func (e *Engine) swap(i, j int) {
+	q := e.queue
 	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+	e.pos[q[i].id] = int32(i)
+	e.pos[q[j].id] = int32(j)
 }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
+func (e *Engine) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !e.less(j, i) {
+			break
+		}
+		e.swap(i, j)
+		j = i
+	}
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// down sifts entry i0 down within the first n entries, reporting whether
+// it moved.
+func (e *Engine) down(i0, n int) bool {
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n || j < 0 {
+			break
+		}
+		if j2 := j + 1; j2 < n && e.less(j2, j) {
+			j = j2
+		}
+		if !e.less(j, i) {
+			break
+		}
+		e.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (e *Engine) push(x entry) {
+	e.queue = append(e.queue, x)
+	n := len(e.queue) - 1
+	e.pos[x.id] = int32(n)
+	e.up(n)
+}
+
+// pop removes the earliest entry and returns its event id.
+func (e *Engine) pop() int32 {
+	n := len(e.queue) - 1
+	e.swap(0, n)
+	e.down(0, n)
+	id := e.queue[n].id
+	e.queue = e.queue[:n]
+	return id
+}
+
+// remove takes the entry at position i out of the queue.
+func (e *Engine) remove(i int) {
+	n := len(e.queue) - 1
+	if n != i {
+		e.swap(i, n)
+		if !e.down(i, n) {
+			e.up(i)
+		}
+	}
+	e.queue = e.queue[:n]
 }

@@ -45,7 +45,7 @@ func benchReplay(nodes, runsWanted, incs int, observe bool) int {
 	samp := usage.NewSampler(cl, usage.Options{Interval: 900})
 	horizon := float64(days) * 86400
 	samp.Start(horizon)
-	root := tr.Begin("campaign", "bench", "factory", nil)
+	root := tr.Begin("campaign", "bench", "factory", telemetry.SpanRef{})
 	runs := 0
 	for d := 0; d < days && runs < runsWanted; d++ {
 		for f := 0; f < nodes && runs < runsWanted; f++ {

@@ -9,7 +9,7 @@ import (
 func TestLoadSpansAnswersQueries(t *testing.T) {
 	clock := 0.0
 	tr := telemetry.NewTracer(func() float64 { return clock })
-	campaign := tr.Begin("campaign", "campaign-2005", "factory", nil)
+	campaign := tr.Begin("campaign", "campaign-2005", "factory", telemetry.SpanRef{})
 	day := tr.Begin("day", "day-001", "factory", campaign)
 	run := tr.Begin("run", "tillamook/1", "fnode01", day)
 	run.SetArg("forecast", "tillamook")
@@ -64,7 +64,7 @@ func TestLoadSpansAnswersQueries(t *testing.T) {
 
 func TestLoadSpansInterruptedAndBadDay(t *testing.T) {
 	tr := telemetry.NewTracer(nil)
-	s := tr.Begin("run", "r", "n", nil)
+	s := tr.Begin("run", "r", "n", telemetry.SpanRef{})
 	_ = s
 	tr.EndOpen() // closes the span with interrupted=true
 
@@ -82,7 +82,7 @@ func TestLoadSpansInterruptedAndBadDay(t *testing.T) {
 
 	// A non-integer day annotation is a descriptive error, not a panic.
 	bad := telemetry.NewTracer(nil)
-	b := bad.Begin("run", "b", "n", nil)
+	b := bad.Begin("run", "b", "n", telemetry.SpanRef{})
 	b.SetArg("day", "twenty")
 	b.EndSpan()
 	if _, err := LoadSpans(db, bad.Spans()); err == nil {
@@ -96,7 +96,7 @@ func TestLoadSpansInterruptedAndBadDay(t *testing.T) {
 func TestLoadSpansIdempotent(t *testing.T) {
 	clock := 0.0
 	tr := telemetry.NewTracer(func() float64 { return clock })
-	run := tr.Begin("run", "tillamook/1", "fnode01", nil)
+	run := tr.Begin("run", "tillamook/1", "fnode01", telemetry.SpanRef{})
 	clock = 500
 
 	db := NewDB()

@@ -74,14 +74,14 @@ func TestNilSafety(t *testing.T) {
 	}
 	var tel *Telemetry
 	tel.Registry().Counter("x", nil).Inc()
-	tel.Trace().Begin("a", "b", "c", nil).EndSpan()
+	tel.Trace().Begin("a", "b", "c", SpanRef{}).EndSpan()
 	tel.SetClock(nil)
 
 	var tr *Tracer
-	sp := tr.Begin("a", "b", "c", nil)
+	sp := tr.Begin("a", "b", "c", SpanRef{})
 	sp.SetArg("k", "v")
 	sp.EndSpan()
-	if sp != nil || tr.Spans() != nil || tr.Len() != 0 {
+	if sp != (SpanRef{}) || tr.Spans() != nil || tr.Len() != 0 {
 		t.Fatal("nil tracer must be inert")
 	}
 }

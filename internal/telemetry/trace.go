@@ -3,18 +3,16 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // Span is one timed operation in the factory's hierarchy:
 // campaign → day → run → {simulation, product task, rsync transfer,
-// planner pass}. Spans are created by Tracer.Begin and closed by End; a
-// nil Span ignores all operations, so call sites need no telemetry
-// checks.
+// planner pass}, as Tracer.Spans exports it. Live spans are SpanRefs.
 type Span struct {
-	tracer *Tracer
-
 	ID     int64
 	Parent int64 // 0 = root
 	Cat    string
@@ -24,105 +22,136 @@ type Span struct {
 	// the link name for transfers.
 	Track string
 	Start float64 // sim seconds
-	End   float64 // sim seconds; valid once Finished
+	End   float64 // sim seconds; the export time for unfinished spans
 	Args  map[string]string
 
 	finished bool
 }
 
+// Finished reports whether the span had ended when it was exported.
+func (s Span) Finished() bool { return s.finished }
+
+// Duration returns End-Start.
+func (s Span) Duration() float64 { return s.End - s.Start }
+
+// Arg reads an annotation ("" when absent).
+func (s Span) Arg(key string) string { return s.Args[key] }
+
+// SpanRef is a live span, handed out by Tracer.Begin and closed by
+// EndSpan. The zero SpanRef (what a nil Tracer hands out) ignores all
+// operations, so call sites need no telemetry checks.
+type SpanRef struct {
+	t  *Tracer
+	id int64
+}
+
+// ID returns the span's id, 0 for the zero SpanRef.
+func (s SpanRef) ID() int64 { return s.id }
+
+// rec returns the span's record; s.t.mu must be held.
+func (s SpanRef) rec() *spanRecord { return s.t.rec(s.id) }
+
 // Finished reports whether the span has ended.
-func (s *Span) Finished() bool {
-	if s == nil {
+func (s SpanRef) Finished() bool {
+	if s.t == nil {
 		return false
 	}
-	if s.tracer == nil { // detached copy from Spans()
-		return s.finished
-	}
-	s.tracer.mu.Lock()
-	defer s.tracer.mu.Unlock()
-	return s.finished
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	return !s.rec().open()
 }
 
 // Duration returns End-Start for a finished span, else the time elapsed
 // so far.
-func (s *Span) Duration() float64 {
-	if s == nil {
+func (s SpanRef) Duration() float64 {
+	if s.t == nil {
 		return 0
 	}
-	if s.tracer == nil {
-		return s.End - s.Start
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	r := s.rec()
+	if r.open() {
+		return s.t.clock() - r.start
 	}
-	s.tracer.mu.Lock()
-	defer s.tracer.mu.Unlock()
-	if s.finished {
-		return s.End - s.Start
-	}
-	return s.tracer.clock() - s.Start
+	return r.end - r.start
 }
 
 // SetArg attaches a key/value annotation (forecast name, day, bytes...).
-func (s *Span) SetArg(key, value string) {
-	if s == nil {
+func (s SpanRef) SetArg(key, value string) {
+	if s.t == nil {
 		return
 	}
-	if s.tracer != nil {
-		s.tracer.mu.Lock()
-		defer s.tracer.mu.Unlock()
-	}
-	if s.Args == nil {
-		s.Args = make(map[string]string, 4)
-	}
-	s.Args[key] = value
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	s.t.setArg(s.id, key, value)
 }
 
-// Arg reads an annotation ("" when absent or on nil).
-func (s *Span) Arg(key string) string {
-	if s == nil {
+// Arg reads an annotation ("" when absent or on the zero SpanRef).
+func (s SpanRef) Arg(key string) string {
+	if s.t == nil {
 		return ""
 	}
-	if s.tracer == nil {
-		return s.Args[key]
-	}
-	s.tracer.mu.Lock()
-	defer s.tracer.mu.Unlock()
-	return s.Args[key]
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	return s.t.args[s.id][key]
 }
 
 // EndSpan closes the span at the tracer's current sim time. Ending an
-// already-ended, detached, or nil span is a no-op.
-func (s *Span) EndSpan() {
-	if s == nil || s.tracer == nil {
+// already-ended span or the zero SpanRef is a no-op.
+func (s SpanRef) EndSpan() {
+	if s.t == nil {
 		return
 	}
-	s.tracer.mu.Lock()
-	if !s.finished {
-		s.finished = true
-		s.End = s.tracer.clock()
+	s.t.mu.Lock()
+	if r := s.rec(); r.open() {
+		r.end = s.t.clock()
 	}
-	s.tracer.mu.Unlock()
+	s.t.mu.Unlock()
 }
 
+// spanRecord is a span as the tracer stores it. It holds no pointers —
+// strings are interned ids and annotations live in a side table — so
+// the garbage collector never scans the records, however many spans a
+// campaign opens. A span's id is its position in creation order plus
+// one.
+type spanRecord struct {
+	start, end       float64 // end is NaN while the span is open
+	parent           uint32
+	cat, name, track uint32
+}
+
+func (r *spanRecord) open() bool { return math.IsNaN(r.end) }
+
 // Tracer records sim-time spans. Create with NewTracer; a nil Tracer
-// hands out nil spans. Safe for concurrent use.
+// hands out zero SpanRefs. Safe for concurrent use.
 type Tracer struct {
 	mu    sync.Mutex
 	clock func() float64
-	next  int64
-	spans []*Span
-	// arena is the current backing chunk for span storage. Campaigns
-	// record tens of thousands of short spans; carving them out of fixed
-	// chunks keeps Begin from being one heap allocation (and one GC
-	// object) per span. Chunks are never grown, so &arena[i] stays valid.
-	arena []Span
+	// recs holds the records in fixed chunks of recChunk, so recording
+	// a span never copies the ones before it.
+	recs  [][]spanRecord
+	n     int               // spans recorded
+	strs  []string          // interned strings, by id
+	strID map[string]uint32 // interned ids, by string
+	// recent short-cuts intern for string values seen before. Hot callers
+	// pass the same string on every span (a product's task name, a node's
+	// name), and in a running campaign a map probe that hashes and
+	// compares the bytes costs several cache misses.
+	recent [64]internEntry
+	args   map[int64]map[string]string
 }
 
-// tracerChunk is the span-arena chunk size.
-const tracerChunk = 256
+// internEntry is a recent interned string, keyed by its data pointer.
+type internEntry struct {
+	s  string
+	id uint32
+}
 
 // NewTracer returns a tracer reading sim time from clock (nil clock
 // pins time at 0 until SetClock installs a real one).
 func NewTracer(clock func() float64) *Tracer {
-	t := &Tracer{}
+	// "" is id 0, which is also what a zero recent entry answers for it.
+	t := &Tracer{strs: []string{""}, strID: map[string]uint32{"": 0}}
 	t.SetClock(clock)
 	return t
 }
@@ -141,33 +170,70 @@ func (t *Tracer) SetClock(clock func() float64) {
 	t.mu.Unlock()
 }
 
-// Begin opens a span under parent (nil for a root span) at the current
-// sim time.
-func (t *Tracer) Begin(cat, name, track string, parent *Span) *Span {
+// recChunk is the record chunk length.
+const recChunk = 1024
+
+// rec returns span id's record; t.mu must be held.
+func (t *Tracer) rec(id int64) *spanRecord {
+	i := int(id - 1)
+	return &t.recs[i/recChunk][i%recChunk]
+}
+
+// intern returns s's string id; t.mu must be held.
+func (t *Tracer) intern(s string) uint32 {
+	p := unsafe.StringData(s)
+	e := &t.recent[(uintptr(unsafe.Pointer(p))>>4^uintptr(len(s)))%uintptr(len(t.recent))]
+	if unsafe.StringData(e.s) == p && len(e.s) == len(s) {
+		return e.id
+	}
+	id, ok := t.strID[s]
+	if !ok {
+		id = uint32(len(t.strs))
+		t.strs = append(t.strs, s)
+		t.strID[s] = id
+	}
+	*e = internEntry{s, id}
+	return id
+}
+
+// setArg records an annotation; t.mu must be held.
+func (t *Tracer) setArg(id int64, key, value string) {
+	m := t.args[id]
+	if m == nil {
+		if t.args == nil {
+			t.args = make(map[int64]map[string]string)
+		}
+		m = make(map[string]string, 4)
+		t.args[id] = m
+	}
+	m[key] = value
+}
+
+// Begin opens a span under parent (the zero SpanRef for a root span) at
+// the current sim time. A span with no track takes its parent's.
+func (t *Tracer) Begin(cat, name, track string, parent SpanRef) SpanRef {
 	if t == nil {
-		return nil
+		return SpanRef{}
 	}
 	t.mu.Lock()
-	t.next++
-	if len(t.arena) == cap(t.arena) {
-		t.arena = make([]Span, 0, tracerChunk)
+	r := spanRecord{
+		start:  t.clock(),
+		end:    math.NaN(),
+		parent: uint32(parent.id),
+		cat:    t.intern(cat),
+		name:   t.intern(name),
 	}
-	t.arena = append(t.arena, Span{
-		tracer: t,
-		ID:     t.next,
-		Cat:    cat,
-		Name:   name,
-		Track:  track,
-		Start:  t.clock(),
-	})
-	s := &t.arena[len(t.arena)-1]
-	if parent != nil {
-		s.Parent = parent.ID
-		if s.Track == "" {
-			s.Track = parent.Track
-		}
+	if track == "" && parent.t == t && parent.id > 0 {
+		r.track = parent.rec().track
+	} else {
+		r.track = t.intern(track)
 	}
-	t.spans = append(t.spans, s)
+	if t.n%recChunk == 0 {
+		t.recs = append(t.recs, make([]spanRecord, recChunk))
+	}
+	t.recs[t.n/recChunk][t.n%recChunk] = r
+	t.n++
+	s := SpanRef{t: t, id: int64(t.n)}
 	t.mu.Unlock()
 	return s
 }
@@ -181,14 +247,10 @@ func (t *Tracer) EndOpen() {
 	}
 	t.mu.Lock()
 	now := t.clock()
-	for _, s := range t.spans {
-		if !s.finished {
-			s.finished = true
-			s.End = now
-			if s.Args == nil {
-				s.Args = make(map[string]string, 1)
-			}
-			s.Args["interrupted"] = "true"
+	for id := int64(1); id <= int64(t.n); id++ {
+		if r := t.rec(id); r.open() {
+			r.end = now
+			t.setArg(id, "interrupted", "true")
 		}
 	}
 	t.mu.Unlock()
@@ -201,7 +263,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.spans)
+	return t.n
 }
 
 // Spans returns a copy of all recorded spans in creation order.
@@ -213,16 +275,26 @@ func (t *Tracer) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.clock()
-	out := make([]Span, len(t.spans))
-	for i, s := range t.spans {
-		c := *s
-		c.tracer = nil
-		if !s.finished {
+	out := make([]Span, t.n)
+	for i := range out {
+		id := int64(i + 1)
+		r := t.rec(id)
+		c := Span{
+			ID:       id,
+			Parent:   int64(r.parent),
+			Cat:      t.strs[r.cat],
+			Name:     t.strs[r.name],
+			Track:    t.strs[r.track],
+			Start:    r.start,
+			End:      r.end,
+			finished: !r.open(),
+		}
+		if r.open() {
 			c.End = now
 		}
-		if len(s.Args) > 0 {
-			c.Args = make(map[string]string, len(s.Args))
-			for k, v := range s.Args {
+		if args := t.args[id]; len(args) > 0 {
+			c.Args = make(map[string]string, len(args))
+			for k, v := range args {
 				c.Args[k] = v
 			}
 		}

@@ -1,6 +1,9 @@
 package telemetry
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // The forensics layer reconstructs causal chains from exported spans, so
 // the tracer's edge behavior — out-of-order ends, interrupted spans,
@@ -9,7 +12,7 @@ import "testing"
 func TestNestedSpansEndedOutOfOrder(t *testing.T) {
 	clock := 0.0
 	tr := NewTracer(func() float64 { return clock })
-	parent := tr.Begin("run", "r", "n1", nil)
+	parent := tr.Begin("run", "r", "n1", SpanRef{})
 	clock = 10
 	child := tr.Begin("simulation", "s", "", parent)
 	// The parent ends before its child — a crashed workflow master whose
@@ -43,10 +46,10 @@ func TestNestedSpansEndedOutOfOrder(t *testing.T) {
 func TestEndOpenMarksOnlyUnfinishedSpans(t *testing.T) {
 	clock := 0.0
 	tr := NewTracer(func() float64 { return clock })
-	done := tr.Begin("run", "done", "n1", nil)
+	done := tr.Begin("run", "done", "n1", SpanRef{})
 	clock = 100
 	done.EndSpan()
-	open := tr.Begin("run", "open", "n1", nil)
+	open := tr.Begin("run", "open", "n1", SpanRef{})
 	clock = 250
 	tr.EndOpen()
 
@@ -73,7 +76,7 @@ func TestEndOpenMarksOnlyUnfinishedSpans(t *testing.T) {
 func TestDurationOnUnfinishedSpans(t *testing.T) {
 	clock := 0.0
 	tr := NewTracer(func() float64 { return clock })
-	s := tr.Begin("run", "r", "n1", nil)
+	s := tr.Begin("run", "r", "n1", SpanRef{})
 	clock = 30
 	// A live unfinished span reports elapsed time so far.
 	if got := s.Duration(); got != 30 {
@@ -103,10 +106,42 @@ func TestDurationOnUnfinishedSpans(t *testing.T) {
 	if !s.Finished() {
 		t.Error("span not finished after EndSpan")
 	}
-	// Nil spans (disabled telemetry) are inert.
-	var nilSpan *Span
+	// Zero spans (disabled telemetry) are inert.
+	var nilSpan SpanRef
 	if nilSpan.Duration() != 0 || nilSpan.Finished() {
 		t.Error("nil span must report zero duration, not finished")
 	}
 	nilSpan.EndSpan() // must not panic
+}
+
+// Span strings are interned, with a small cache keyed by the string's
+// data pointer. Names built at run time (equal content, fresh pointers),
+// many distinct names sharing cache slots, and more spans than one record
+// chunk must all export exactly as given.
+func TestSpanStringsRoundTripThroughInterning(t *testing.T) {
+	tr := NewTracer(nil)
+	root := tr.Begin("campaign", "c", "factory", SpanRef{})
+	var want []string
+	for i := 0; i < 3000; i++ {
+		name := "task-" + strconv.Itoa(i%700)
+		track := ""
+		if i%3 != 0 {
+			track = "node-" + strconv.Itoa(i%7)
+		}
+		tr.Begin("product", name, track, root).EndSpan()
+		if track == "" {
+			track = "factory"
+		}
+		want = append(want, name+"|"+track)
+	}
+	spans := tr.Spans()
+	if len(spans) != len(want)+1 {
+		t.Fatalf("got %d spans, want %d", len(spans), len(want)+1)
+	}
+	for i, s := range spans[1:] {
+		if got := s.Name + "|" + s.Track; got != want[i] || s.Cat != "product" || s.Parent != 1 || !s.Finished() {
+			t.Fatalf("span %d = %q cat %q parent %d finished %v, want %q under span 1",
+				i+2, got, s.Cat, s.Parent, s.Finished(), want[i])
+		}
+	}
 }

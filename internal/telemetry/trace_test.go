@@ -16,15 +16,15 @@ func TestSpanHierarchy(t *testing.T) {
 	clk := &fakeClock{}
 	tr := NewTracer(clk.Now)
 
-	campaign := tr.Begin("campaign", "campaign-2005", "factory", nil)
+	campaign := tr.Begin("campaign", "campaign-2005", "factory", SpanRef{})
 	clk.now = 100
 	day := tr.Begin("day", "day-021", "factory", campaign)
 	run := tr.Begin("run", "forecast-tillamook/21", "fnode01", day)
 	run.SetArg("forecast", "forecast-tillamook")
 	clk.now = 500
 	sim := tr.Begin("simulation", "sim:forecast-tillamook", "", run)
-	if sim.Track != "fnode01" {
-		t.Fatalf("child track = %q, want inherited fnode01", sim.Track)
+	if got := tr.Spans()[3].Track; got != "fnode01" {
+		t.Fatalf("child track = %q, want inherited fnode01", got)
 	}
 	clk.now = 900
 	sim.EndSpan()
@@ -55,7 +55,7 @@ func TestSpanHierarchy(t *testing.T) {
 func TestEndOpenMarksInterrupted(t *testing.T) {
 	clk := &fakeClock{}
 	tr := NewTracer(clk.Now)
-	s := tr.Begin("run", "r", "n", nil)
+	s := tr.Begin("run", "r", "n", SpanRef{})
 	clk.now = 50
 	tr.EndOpen()
 	if !s.Finished() {
@@ -76,7 +76,7 @@ func TestEndOpenMarksInterrupted(t *testing.T) {
 func TestWriteChromeTrace(t *testing.T) {
 	clk := &fakeClock{}
 	tr := NewTracer(clk.Now)
-	a := tr.Begin("run", "runA", "fnode01", nil)
+	a := tr.Begin("run", "runA", "fnode01", SpanRef{})
 	clk.now = 2
 	b := tr.Begin("transfer", "rsync:x", "lan", a)
 	clk.now = 3
@@ -134,7 +134,7 @@ func TestTracerConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s := tr.Begin("cat", "n", "track", nil)
+				s := tr.Begin("cat", "n", "track", SpanRef{})
 				s.SetArg("i", "x")
 				s.EndSpan()
 			}

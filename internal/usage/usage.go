@@ -192,9 +192,8 @@ type nodeState struct {
 	// settled end-of-burst state is classified.
 	dirty bool
 
-	// Jobs currently executing, scanned linearly: k is at most a few
-	// per node, and short slices beat a map keyed by long labels on the
-	// per-event path.
+	// Jobs currently executing, scanned linearly for the finishing
+	// job's pointer: k is at most a few per node.
 	active []activeEntry
 	// Share aggregates keyed by base label, holding each family's
 	// current-day entry. Keeping the map per node lets submits hash one
@@ -223,7 +222,8 @@ type Sampler struct {
 	cl     *cluster.Cluster
 	opts   Options
 	nodes  map[string]*nodeState
-	states []*nodeState // name-ordered; the hot paths iterate this
+	byNode map[*cluster.Node]*nodeState // the event path's lookup
+	states []*nodeState                 // name-ordered; the hot paths iterate this
 	order  []string
 
 	// Incremental counts behind the imbalance gauges, maintained by
@@ -267,6 +267,7 @@ func NewSampler(cl *cluster.Cluster, opts Options) *Sampler {
 		cl:            cl,
 		opts:          opts,
 		nodes:         make(map[string]*nodeState),
+		byNode:        make(map[*cluster.Node]*nodeState),
 		imbalanceOpen: math.NaN(),
 	}
 	if opts.Telemetry != nil {
@@ -312,6 +313,7 @@ func NewSampler(cl *cluster.Cluster, opts Options) *Sampler {
 			s.idleUpNodes++
 		}
 		s.nodes[n.Name()] = ns
+		s.byNode[n] = ns
 		s.states = append(s.states, ns)
 		s.order = append(s.order, n.Name())
 	}
@@ -389,8 +391,8 @@ type openJob struct {
 
 // activeEntry is one executing job in a node's active list.
 type activeEntry struct {
-	label string
-	oj    openJob
+	job *cluster.Job
+	oj  openJob
 }
 
 // baseLabel strips the increment suffix from a job label:
@@ -409,8 +411,8 @@ func baseLabel(label string) string {
 func (s *Sampler) onEvent(ev cluster.JobEvent) {
 	s.mu.Lock()
 	ns := s.lastNS
-	if ns == nil || ns.node.Name() != ev.Node {
-		ns = s.nodes[ev.Node]
+	if ns == nil || ns.node != ev.Host {
+		ns = s.byNode[ev.Host]
 		if ns == nil {
 			s.mu.Unlock()
 			return
@@ -442,12 +444,12 @@ func (s *Sampler) onEvent(ev cluster.JobEvent) {
 			ns.lastAgg = agg
 		}
 		agg.Jobs++
-		ns.active = append(ns.active, activeEntry{label: ev.Job,
+		ns.active = append(ns.active, activeEntry{job: ev.Handle,
 			oj: openJob{agg: agg, baseRun: ns.cumRun, baseShare: ns.cumShare}})
 	case cluster.EventFinish, cluster.EventCancel:
 		ns.k--
 		for i := range ns.active {
-			if ns.active[i].label != ev.Job {
+			if ns.active[i].job != ev.Handle {
 				continue
 			}
 			oj := ns.active[i].oj

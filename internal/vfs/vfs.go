@@ -46,6 +46,10 @@ type FS struct {
 	// clock supplies the virtual time for mtimes. It may be nil, in which
 	// case mtimes are zero.
 	clock func() float64
+	// added and removed count node additions and removals anywhere in
+	// the tree. A Handle re-walks only when one that can change what its
+	// path resolves to has moved since it last resolved.
+	added, removed uint64
 }
 
 // New creates an empty filesystem. clock, if non-nil, supplies virtual
@@ -114,6 +118,7 @@ func (fs *FS) MkdirAll(p string) error {
 				children: make(map[string]*file),
 			}
 			cur.children[part] = next
+			fs.added++
 		} else if !next.info.IsDir {
 			return fmt.Errorf("mkdir %s: %w", walked, ErrNotDir)
 		}
@@ -141,6 +146,7 @@ func (fs *FS) create(p string) (*file, error) {
 	}
 	f := &file{info: FileInfo{Path: p, Name: name, MTime: fs.now()}}
 	parent.children[name] = f
+	fs.added++
 	return f, nil
 }
 
@@ -153,10 +159,15 @@ func (fs *FS) Create(p string) error {
 
 // Append grows a size-only file by n bytes, creating it if absent.
 func (fs *FS) Append(p string, n int64) error {
+	return fs.grow(p, fs.lookup(p), n)
+}
+
+// grow is Append with the lookup already done: f is p's node, or nil
+// when p does not exist.
+func (fs *FS) grow(p string, f *file, n int64) error {
 	if n < 0 {
 		return fmt.Errorf("append %s: negative size %d", p, n)
 	}
-	f := fs.lookup(p)
 	if f == nil {
 		var err error
 		f, err = fs.create(p)
@@ -258,8 +269,9 @@ func (fs *FS) Stat(p string) (FileInfo, error) {
 func (fs *FS) Exists(p string) bool { return fs.lookup(p) != nil }
 
 // Size returns the logical size of a file, or 0 if it does not exist.
-func (fs *FS) Size(p string) int64 {
-	f := fs.lookup(p)
+func (fs *FS) Size(p string) int64 { return sizeOf(fs.lookup(p)) }
+
+func sizeOf(f *file) int64 {
 	if f == nil || f.info.IsDir {
 		return 0
 	}
@@ -281,7 +293,53 @@ func (fs *FS) Remove(p string) error {
 	}
 	parent := fs.lookup(path.Dir(p))
 	delete(parent.children, f.info.Name)
+	fs.removed++
 	return nil
+}
+
+// Handle is a path resolved against one FS. It caches the path's node
+// and walks the tree again only when the FS changed shape in a way that
+// can change the answer: a node it found stays valid until some node is
+// removed (a node is replaced only by removing it first), and a path it
+// did not find can appear only when some node is added. A watcher that
+// reads the same files on every poll pays a counter comparison instead
+// of a path walk.
+type Handle struct {
+	fs   *FS
+	path string
+	f    *file  // nil when path did not resolve
+	seen uint64 // fs.removed when f is non-nil, else fs.added
+}
+
+// Handle returns a handle on p. The path need not exist yet.
+func (fs *FS) Handle(p string) *Handle {
+	h := &Handle{fs: fs, path: p}
+	h.resolve()
+	return h
+}
+
+func (h *Handle) resolve() {
+	h.f = h.fs.lookup(h.path)
+	if h.f != nil {
+		h.seen = h.fs.removed
+	} else {
+		h.seen = h.fs.added
+	}
+}
+
+func (h *Handle) node() *file {
+	if h.f != nil && h.seen != h.fs.removed || h.f == nil && h.seen != h.fs.added {
+		h.resolve()
+	}
+	return h.f
+}
+
+// Size is FS.Size of the handle's path.
+func (h *Handle) Size() int64 { return sizeOf(h.node()) }
+
+// Append is FS.Append on the handle's path.
+func (h *Handle) Append(n int64) error {
+	return h.fs.grow(h.path, h.node(), n)
 }
 
 // ReadDir lists the entries of a directory in name order.

@@ -38,7 +38,7 @@ type ProductConfig struct {
 	// Telemetry, when non-nil, receives master-process metrics and
 	// product-task spans, nested under Span.
 	Telemetry *telemetry.Telemetry
-	Span      *telemetry.Span
+	Span      telemetry.SpanRef
 }
 
 // ProductEngine incrementally computes data products as model-output
@@ -52,11 +52,22 @@ type ProductEngine struct {
 	active    int
 	rrCursor  int
 	pollTimer sim.Timer
+	pollFn    func() // p.poll, bound once
 	finished  bool
 	aborted   bool
 	endTime   float64
 
-	depthPolls int // saturated polls since the last backlog scan
+	// The distinct model-output files the products read, resolved once;
+	// productState.inputs index these. seen holds each file's size at the
+	// last scan, and taskEnded records a task finishing since then (or
+	// that no scan has run yet). When neither moved, a scan would repeat
+	// the last one exactly, so poll skips it.
+	inputs    []*vfs.Handle
+	inTotals  []int64
+	seen      []int64
+	taskEnded bool
+	depth     float64 // backlog at the last scan
+	procLog   *vfs.Handle
 
 	mPolls      *telemetry.Counter
 	mQueueDepth *telemetry.Gauge
@@ -82,32 +93,53 @@ func StartProducts(eng *sim.Engine, cfg ProductConfig) *ProductEngine {
 		cfg.WorkFactor = 1
 	}
 	p := &ProductEngine{
-		cfg:    cfg,
-		eng:    eng,
-		sched:  eng.Scope("workflow"),
-		byName: make(map[string]*productState, len(cfg.Products)),
+		cfg:       cfg,
+		eng:       eng,
+		sched:     eng.Scope("workflow"),
+		byName:    make(map[string]*productState, len(cfg.Products)),
+		taskEnded: true,
+		procLog:   cfg.FS.Handle(cfg.Dir + "/process/master.out"),
 	}
+	p.pollFn = p.poll
 	reg := cfg.Telemetry.Registry()
 	if reg != nil {
 		reg.Describe("workflow_master_polls_total", "Master-process scans for new model output.")
 		reg.Describe("workflow_product_tasks_total", "Product tasks dispatched, by product class.")
-		reg.Describe("workflow_product_queue_depth", "Products with pending input bytes awaiting a worker (sampled).")
+		reg.Describe("workflow_product_queue_depth", "Products with pending input bytes awaiting a worker.")
 		reg.Describe("workflow_product_active_tasks", "Product tasks currently executing.")
 		p.mPolls = reg.Counter("workflow_master_polls_total", nil)
 		p.mQueueDepth = reg.Gauge("workflow_product_queue_depth", nil)
 		p.mActive = reg.Gauge("workflow_product_active_tasks", nil)
 	}
+	inputIndex := make(map[string]int)
+	classTasks := make(map[forecast.Class]*telemetry.Counter)
 	for _, spec := range cfg.Products {
-		st := &productState{spec: spec, taskName: "prod:" + spec.Name}
+		st := &productState{
+			spec:     spec,
+			taskName: "prod:" + spec.Name,
+			data:     cfg.FS.Handle(p.ProductPath(spec.Name)),
+		}
+		st.taskDone = func() { p.taskDone(st) }
 		if reg != nil {
-			st.mTasks = reg.Counter("workflow_product_tasks_total",
-				telemetry.Labels{"class": spec.Class.String()})
+			if classTasks[spec.Class] == nil {
+				classTasks[spec.Class] = reg.Counter("workflow_product_tasks_total",
+					telemetry.Labels{"class": spec.Class.String()})
+			}
+			st.mTasks = classTasks[spec.Class]
 		}
 		for _, in := range spec.Inputs {
 			total, ok := cfg.InputTotals[in]
 			if !ok {
 				panic(fmt.Sprintf("workflow: product %q reads %q with unknown total", spec.Name, in))
 			}
+			i, ok := inputIndex[in]
+			if !ok {
+				i = len(p.inputs)
+				inputIndex[in] = i
+				p.inputs = append(p.inputs, cfg.FS.Handle(p.OutputPath(in)))
+				p.inTotals = append(p.inTotals, total)
+			}
+			st.inputs = append(st.inputs, i)
 			st.totalIn += float64(total)
 		}
 		p.products = append(p.products, st)
@@ -117,7 +149,8 @@ func StartProducts(eng *sim.Engine, cfg ProductConfig) *ProductEngine {
 		p.finish()
 		return p
 	}
-	p.pollTimer = p.sched.After(cfg.Poll, p.poll)
+	p.seen = make([]int64, len(p.inputs))
+	p.pollTimer = p.sched.After(cfg.Poll, p.pollFn)
 	return p
 }
 
@@ -149,9 +182,6 @@ func (p *ProductEngine) ProductPath(name string) string {
 	return p.cfg.Dir + "/products/" + name + "/data"
 }
 
-// processPath is the master process's log file.
-func (p *ProductEngine) processPath() string { return p.cfg.Dir + "/process/master.out" }
-
 // ConsumedFraction reports the named product's progress in [0, 1], or -1
 // for an unknown product.
 func (p *ProductEngine) ConsumedFraction(name string) float64 {
@@ -169,11 +199,11 @@ func (p *ProductEngine) ConsumedFraction(name string) float64 {
 // across inputs; dependencies gate the whole product.
 func (p *ProductEngine) availableFraction(st *productState) float64 {
 	frac := 1.0
-	if len(st.spec.Inputs) > 0 {
+	if len(st.inputs) > 0 {
 		var avail, total float64
-		for _, in := range st.spec.Inputs {
-			t := float64(p.cfg.InputTotals[in])
-			a := float64(p.cfg.FS.Size(p.OutputPath(in)))
+		for _, i := range st.inputs {
+			t := float64(p.inTotals[i])
+			a := float64(p.inputs[i].Size())
 			if a > t {
 				a = t
 			}
@@ -203,36 +233,39 @@ func (p *ProductEngine) poll() {
 		return
 	}
 	p.mPolls.Inc()
-	p.dispatch()
-	p.updateQueueDepth()
+	if p.inputsGrew() || p.taskEnded {
+		p.taskEnded = false
+		p.dispatch()
+		if p.mQueueDepth != nil {
+			p.depth = p.backlog()
+		}
+	}
+	p.mQueueDepth.Set(p.depth)
 	if !p.finished && !p.aborted {
-		p.pollTimer = p.sched.After(p.cfg.Poll, p.poll)
+		p.pollTimer = p.sched.After(p.cfg.Poll, p.pollFn)
 	}
 }
 
-// queueDepthEvery throttles the backlog scan while workers are
-// saturated. The gauge is a sampled instrument, so re-counting input
-// availability on every 16th poll (~16 sim-minutes at the default poll
-// interval) keeps it fresh enough without re-scanning the filesystem on
-// every poll the way dispatch already had to.
-const queueDepthEvery = 16
+// inputsGrew reports whether any input's size moved since the last
+// call, recording the sizes it read.
+func (p *ProductEngine) inputsGrew() bool {
+	grew := false
+	for i, h := range p.inputs {
+		if n := h.Size(); n != p.seen[i] {
+			p.seen[i] = n
+			grew = true
+		}
+	}
+	return grew
+}
 
-// updateQueueDepth records how many products have input ready but no
-// worker — the master process's backlog.
-func (p *ProductEngine) updateQueueDepth() {
-	if p.mQueueDepth == nil {
-		return
-	}
+// backlog counts the products that have input ready but no worker — the
+// master process's backlog.
+func (p *ProductEngine) backlog() float64 {
 	// dispatch just ran: if a worker is still idle, it exhausted a full
-	// scan without finding pending input, so the backlog is exactly zero
-	// and no availability re-scan is needed.
+	// scan without finding pending input, so the backlog is exactly zero.
 	if p.active < p.cfg.Workers {
-		p.mQueueDepth.Set(0)
-		return
-	}
-	p.depthPolls++
-	if p.depthPolls%queueDepthEvery != 0 {
-		return
+		return 0
 	}
 	depth := 0
 	for _, st := range p.products {
@@ -243,7 +276,7 @@ func (p *ProductEngine) updateQueueDepth() {
 			depth++
 		}
 	}
-	p.mQueueDepth.Set(float64(depth))
+	return float64(depth)
 }
 
 func (p *ProductEngine) dispatch() {
@@ -272,7 +305,7 @@ func (p *ProductEngine) dispatch() {
 }
 
 func (p *ProductEngine) startTask(st *productState, bytes float64) {
-	cpuPerMB, ratio := st.spec.Class.Profile()
+	cpuPerMB, _ := st.spec.Class.Profile()
 	work := p.cfg.WorkFactor * cpuPerMB * st.spec.Scale * bytes / 1e6
 	st.active = true
 	st.dispatched = bytes
@@ -282,34 +315,38 @@ func (p *ProductEngine) startTask(st *productState, bytes float64) {
 	// a campaign dispatches thousands of product tasks and a map
 	// allocation per span is measurable against the telemetry overhead
 	// budget. Aggregate byte counts live in the metrics registry instead.
-	var span *telemetry.Span
 	if tel := p.cfg.Telemetry; tel != nil {
 		st.mTasks.Inc()
-		span = tel.Trace().Begin("product", st.taskName, p.cfg.Node.Name(), p.cfg.Span)
+		st.span = tel.Trace().Begin("product", st.taskName, p.cfg.Node.Name(), p.cfg.Span)
 	}
-	p.cfg.Node.Submit(st.taskName, work, func() {
-		if p.aborted {
-			return
+	p.cfg.Node.Submit(st.taskName, work, st.taskDone)
+}
+
+// taskDone records a finished product task and dispatches the next.
+func (p *ProductEngine) taskDone(st *productState) {
+	if p.aborted {
+		return
+	}
+	st.span.EndSpan()
+	p.taskEnded = true
+	st.active = false
+	st.consumed += st.dispatched
+	p.active--
+	p.mActive.Set(float64(p.active))
+	_, ratio := st.spec.Class.Profile()
+	outBytes := int64(math.Round(ratio * st.spec.Scale * st.dispatched))
+	if outBytes > 0 {
+		st.outWritten += outBytes
+		if err := st.data.Append(outBytes); err != nil {
+			panic(fmt.Sprintf("workflow: append product: %v", err))
 		}
-		span.EndSpan()
-		st.active = false
-		st.consumed += st.dispatched
-		p.active--
-		p.mActive.Set(float64(p.active))
-		outBytes := int64(math.Round(ratio * st.spec.Scale * st.dispatched))
-		if outBytes > 0 {
-			st.outWritten += outBytes
-			if err := p.cfg.FS.Append(p.ProductPath(st.spec.Name), outBytes); err != nil {
-				panic(fmt.Sprintf("workflow: append product: %v", err))
-			}
-		}
-		if err := p.cfg.FS.Append(p.processPath(), 4096); err != nil {
-			panic(fmt.Sprintf("workflow: append process log: %v", err))
-		}
-		st.dispatched = 0
-		p.dispatch()
-		p.checkDone()
-	})
+	}
+	if err := p.procLog.Append(4096); err != nil {
+		panic(fmt.Sprintf("workflow: append process log: %v", err))
+	}
+	st.dispatched = 0
+	p.dispatch()
+	p.checkDone()
 }
 
 func (p *ProductEngine) checkDone() {

@@ -44,7 +44,7 @@ type Config struct {
 	// is the parent (typically the factory's per-run span) under which
 	// the simulation and product-task spans nest.
 	Telemetry *telemetry.Telemetry
-	Span      *telemetry.Span
+	Span      telemetry.SpanRef
 }
 
 // productState tracks incremental progress of one product.
@@ -56,11 +56,17 @@ type productState struct {
 	outWritten int64   // product bytes written so far
 	active     bool
 
-	// taskName ("prod:<name>") and mTasks (the per-class task counter)
-	// are resolved once at startup so the dispatch path pays neither a
-	// string concatenation nor a registry lookup per task.
+	// taskName ("prod:<name>"), mTasks (the per-class task counter), the
+	// data file and the completion func are resolved once at startup, so
+	// the dispatch path pays no string concatenation, registry lookup,
+	// path walk or closure per task.
 	taskName string
 	mTasks   *telemetry.Counter
+	data     *vfs.Handle
+	taskDone func()
+	span     telemetry.SpanRef // the in-flight task's span
+
+	inputs []int // indexes into ProductEngine.inputs, in spec.Inputs order
 }
 
 func (p *productState) consumedFraction() float64 {
@@ -85,6 +91,7 @@ type Run struct {
 	increments int
 	incDone    int
 	simJob     *cluster.Job
+	outFiles   []*vfs.Handle // one per Spec.Outputs entry, on SimFS
 
 	engine *ProductEngine // nil for simulation-only runs
 
@@ -94,7 +101,7 @@ type Run struct {
 	endTime  float64
 	aborted  bool
 
-	simSpan       *telemetry.Span
+	simSpan       telemetry.SpanRef
 	mIncrements   *telemetry.Counter
 	mSimWalltimes *telemetry.Histogram
 
@@ -221,6 +228,7 @@ func Start(eng *sim.Engine, cfg Config) *Run {
 		if o.Day > r.days {
 			r.days = o.Day
 		}
+		r.outFiles = append(r.outFiles, cfg.SimFS.Handle(r.OutputPath(o.Name)))
 	}
 	if r.days < 1 {
 		r.days = 1
@@ -322,7 +330,7 @@ func (r *Run) incrementDone() {
 	}
 	r.incDone++
 	day := r.incrementDay(r.incDone)
-	for _, o := range r.cfg.Spec.Outputs {
+	for i, o := range r.cfg.Spec.Outputs {
 		grow := o.Day == day
 		if r.incCount[o.Name] == 1 {
 			// Degenerate fold-in: append once, on the final increment of
@@ -332,7 +340,7 @@ func (r *Run) incrementDone() {
 		if !grow {
 			continue
 		}
-		if err := r.cfg.SimFS.Append(r.OutputPath(o.Name), r.incBytes[o.Name]); err != nil {
+		if err := r.outFiles[i].Append(r.incBytes[o.Name]); err != nil {
 			panic(fmt.Sprintf("workflow: append output: %v", err))
 		}
 	}
