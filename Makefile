@@ -31,33 +31,39 @@ perfbench:
 
 check: test vet race perfbench
 
-# Experiment benchmarks plus the machine-readable reports uploaded as CI
-# artifacts: the harvest pipeline (BENCH_harvest.json), the usage
-# sampler's overhead budget (BENCH_usage.json, < 5% slowdown on the
-# standard fig8 campaign), the planner's incremental-prediction
-# speedup (BENCH_planner.json, ≥ 5× over full repredict on the
-# 200-node/2000-run drop loop, with an incremental-vs-full equivalence
-# gate), the forensics replay overhead (BENCH_forensics.json, < 5%
-# on a 200-node / 2000-run campaign replayed with and without blame
-# analysis, ABBA-paired medians), the SPC observatory's overhead
-# budget (BENCH_spc.json, < 5% CPU on the same replay streamed with and
-# without control charts, min of interleaved rusage samples), and the
-# simulation kernel's events/sec trajectory (BENCH_sim.json: replay
-# throughput with the kernel profiler detached and attached, < 5%
-# profiler overhead, and a ≥ 80%-of-baseline throughput gate against
-# the committed BENCH_sim_baseline.json), and the public serving edge's
-# storm scenario (BENCH_serving.json: ≥ 1M simulated user requests
-# through the cache/coalesce/shed path with a late forecast and a flash
-# crowd, gating on zero made-to-stock deadlines displaced).
+# Experiment benchmarks plus the machine-readable BENCH_*.json reports CI
+# uploads. Every overhead or speedup gate times its two arms one way, in
+# internal/benchkit: A/B then B/A interleaved, a collected heap before each
+# sample, process CPU (rusage user+sys) on one P, and the minimum of N
+# samples per arm (DESIGN.md §6). The reports and their gates:
+# harvest cold vs warm pass (BENCH_harvest.json); the usage sampler's
+# overhead on the fig8 campaign (BENCH_usage.json, < 5%); the planner's
+# incremental-prediction speedup on the 200-node/2000-run drop loop
+# (BENCH_planner.json, ≥ 5× with an incremental-vs-full equivalence
+# gate); the forensics pass, SPC charts and kernel profiler on the shared
+# 200-node × 2000-run campaign replay (BENCH_forensics.json,
+# BENCH_spc.json, BENCH_sim.json: each < 5%, plus a ≥ 80%-of-baseline
+# events/sec floor against the committed BENCH_sim_baseline.json); and
+# the public serving edge's storm scenario (BENCH_serving.json: ≥ 1M
+# simulated user requests with a late forecast and a flash crowd, and
+# zero made-to-stock deadlines displaced).
+# Each gate is package:report:test; every gate runs and writes its
+# report, and the target fails afterwards if any gate failed.
+BENCH_GATES = harvest:harvest:TestEmitBenchReport \
+	usage:usage:TestEmitBenchReport \
+	core:planner:TestEmitPlannerBenchReport \
+	forensics:forensics:TestEmitBenchReport \
+	spc:spc:TestEmitBenchReport \
+	engineprof:sim:TestEmitBenchReport \
+	serving:serving:TestEmitBenchReport
+
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx . ./internal/core ./internal/engineprof ./internal/forensics ./internal/harvest ./internal/serving ./internal/spc ./internal/usage
-	BENCH_OUT=$(CURDIR)/BENCH_harvest.json $(GO) test -run TestEmitBenchReport -v ./internal/harvest
-	BENCH_OUT=$(CURDIR)/BENCH_usage.json $(GO) test -count=1 -run TestEmitBenchReport -v ./internal/usage
-	BENCH_OUT=$(CURDIR)/BENCH_planner.json $(GO) test -count=1 -run TestEmitPlannerBenchReport -v ./internal/core
-	BENCH_OUT=$(CURDIR)/BENCH_forensics.json $(GO) test -count=1 -run TestEmitBenchReport -v ./internal/forensics
-	BENCH_OUT=$(CURDIR)/BENCH_spc.json $(GO) test -count=1 -run TestEmitBenchReport -v ./internal/spc
-	BENCH_OUT=$(CURDIR)/BENCH_sim.json BENCH_BASELINE=$(CURDIR)/BENCH_sim_baseline.json $(GO) test -count=1 -run TestEmitBenchReport -v ./internal/engineprof
-	BENCH_OUT=$(CURDIR)/BENCH_serving.json $(GO) test -count=1 -run TestEmitBenchReport -v ./internal/serving
+	@status=0; for g in $(BENCH_GATES); do \
+		pkg=$${g%%:*}; rest=$${g#*:}; \
+		BENCH_OUT=$(CURDIR)/BENCH_$${rest%%:*}.json BENCH_BASELINE=$(CURDIR)/BENCH_sim_baseline.json \
+			$(GO) test -count=1 -run "^$${rest#*:}\$$" -v ./internal/$$pkg || status=1; \
+	done; exit $$status
 
 clean:
 	$(GO) clean ./...

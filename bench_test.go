@@ -8,11 +8,10 @@ package repro_test
 
 import (
 	"fmt"
-	"math"
 	"runtime"
-	"syscall"
 	"testing"
 
+	"repro/internal/benchkit"
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/experiments"
@@ -358,11 +357,10 @@ func BenchmarkCampaignDayTelemetry(b *testing.B) {
 
 // TestTelemetryOverhead guards the design target that full collection
 // (nil-safe cached instruments, one span per task) costs on the order of
-// 5% of a campaign. The two arms are interleaved in alternating order and
-// timed by process CPU (rusage), each from a collected heap, and the
-// minimum of N samples per arm is compared against a bound of 25%, so a
-// loaded machine slows both arms alike instead of flaking the suite. Run
-// the two CampaignDay benchmarks for the precise ratio.
+// 5% of a campaign. The arms are timed by benchkit.MinCPU, so a loaded
+// machine slows both alike instead of flaking the suite, and the ratio is
+// held to a bound of 1.25. Run the two CampaignDay benchmarks for the
+// precise ratio.
 func TestTelemetryOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test skipped in -short mode")
@@ -372,53 +370,23 @@ func TestTelemetryOverhead(t *testing.T) {
 	// the uninstrumented sample lasts ~0.3 s of CPU; one campaign alone
 	// (~0.04 s) is short enough for host noise to swamp the ratio.
 	const campaignsPerSample = 8
-	cpuSeconds := func() float64 {
-		var ru syscall.Rusage
-		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-			t.Fatal(err)
-		}
-		return float64(ru.Utime.Sec+ru.Stime.Sec) +
-			float64(ru.Utime.Usec+ru.Stime.Usec)/1e6
-	}
-	timed := func(instrument bool) float64 {
-		runtime.GC()
-		t0 := cpuSeconds()
-		for i := 0; i < campaignsPerSample; i++ {
-			var tel *telemetry.Telemetry
-			if instrument {
-				tel = telemetry.New()
+	campaigns := func(instrument bool) func() {
+		return func() {
+			for i := 0; i < campaignsPerSample; i++ {
+				var tel *telemetry.Telemetry
+				if instrument {
+					tel = telemetry.New()
+				}
+				runCampaign(t, 3, tel)
 			}
-			runCampaign(t, 3, tel)
 		}
-		return cpuSeconds() - t0
 	}
-	// The campaign is single-threaded. With a spare P the runtime's idle
-	// GC mark workers burn otherwise idle CPU, which rusage would charge
-	// to whichever arm collects more often; one P keeps the process CPU
-	// to the work the campaign itself does, mutator and collector both.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	// Warm up both variants so allocator state is comparable.
-	runCampaign(t, 1, nil)
-	runCampaign(t, 1, telemetry.New())
-
-	baseline, instrumented := math.Inf(1), math.Inf(1)
-	for i := 0; i < rounds; i++ {
-		var base, inst float64
-		if i%2 == 0 {
-			base = timed(false)
-			inst = timed(true)
-		} else {
-			inst = timed(true)
-			base = timed(false)
-		}
-		baseline = math.Min(baseline, base)
-		instrumented = math.Min(instrumented, inst)
-	}
-	ratio := instrumented / baseline
-	t.Logf("baseline %.3fs CPU, instrumented %.3fs CPU, ratio %.3f", baseline, instrumented, ratio)
+	m := benchkit.MinCPU(t, rounds, campaigns(false), campaigns(true))
+	ratio := m.Ratio()
+	t.Logf("baseline %.3fs CPU, instrumented %.3fs CPU, ratio %.3f", m.Base, m.Treated, ratio)
 	if ratio > 1.25 {
 		t.Fatalf("telemetry overhead ratio %.3f exceeds bound 1.25 (baseline %.3fs, instrumented %.3fs CPU)",
-			ratio, baseline, instrumented)
+			ratio, m.Base, m.Treated)
 	}
 }
 

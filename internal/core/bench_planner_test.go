@@ -1,13 +1,11 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"reflect"
-	"sort"
 	"testing"
-	"time"
+
+	"repro/internal/benchkit"
 )
 
 // plannerBenchPlant builds the fleet-scale drop-loop scenario: nRuns
@@ -119,21 +117,11 @@ func TestDropLoopIncrementalMatchesFullRepredict(t *testing.T) {
 }
 
 // TestEmitPlannerBenchReport measures the incremental engine's speedup on
-// the 200-node × 2000-run drop loop and writes a machine-readable report
-// to the file named by BENCH_OUT; `make bench` sets it and CI uploads the
-// result as an artifact. Without BENCH_OUT the test is skipped.
-//
-// Methodology (same as the usage sampler's report): full-repredict and
-// incremental passes run as ABBA pairs — the order within a pair
-// alternates so heap growth and machine drift cancel instead of always
-// penalizing one side — and the reported speedup is the median of the
-// per-pair ratios. The job fails if the two modes' predictions diverge or
-// the speedup drops below the 5× floor.
+// the 200-node × 2000-run drop loop, timed by benchkit.MinCPU, and writes
+// BENCH_planner.json. The job fails if the two modes' predictions diverge
+// or the speedup drops below the 5× floor.
 func TestEmitPlannerBenchReport(t *testing.T) {
-	out := os.Getenv("BENCH_OUT")
-	if out == "" {
-		t.Skip("BENCH_OUT not set")
-	}
+	out := benchkit.OutPath(t)
 	nodes, runs := plannerBenchPlant(200, 2000)
 
 	// Equivalence gate first: a fast wrong answer must fail the job.
@@ -145,59 +133,24 @@ func TestEmitPlannerBenchReport(t *testing.T) {
 		t.Errorf("incremental and full-repredict drop loops diverge")
 	}
 
-	const pairs = 6
-	var fullSec, incSec, ratios []float64
-	for i := 0; i < pairs; i++ {
-		var f, n float64
-		if i%2 == 0 {
-			t0 := time.Now()
-			benchDropLoop(nodes, runs, true)
-			f = time.Since(t0).Seconds()
-			t1 := time.Now()
-			benchDropLoop(nodes, runs, false)
-			n = time.Since(t1).Seconds()
-		} else {
-			t1 := time.Now()
-			benchDropLoop(nodes, runs, false)
-			n = time.Since(t1).Seconds()
-			t0 := time.Now()
-			benchDropLoop(nodes, runs, true)
-			f = time.Since(t0).Seconds()
-		}
-		fullSec = append(fullSec, f)
-		incSec = append(incSec, n)
-		ratios = append(ratios, f/n)
-	}
-	sort.Float64s(ratios)
-	speedup := (ratios[pairs/2-1] + ratios[pairs/2]) / 2
-	mean := func(xs []float64) float64 {
-		var sum float64
-		for _, x := range xs {
-			sum += x
-		}
-		return sum / float64(len(xs))
-	}
-	report := map[string]any{
-		"scenario":            "drop-loop",
-		"nodes":               len(nodes),
-		"runs":                len(runs),
-		"drops":               len(inc.Dropped),
-		"pairs":               pairs,
-		"full_seconds":        mean(fullSec),
-		"incremental_seconds": mean(incSec),
-		"speedup":             speedup,
-		"speedup_floor":       5.0,
-		"predictions_agree":   equivalent,
-	}
+	const samples = 6 // per arm
+	m := benchkit.MinCPU(t, samples,
+		func() { benchDropLoop(nodes, runs, true) },
+		func() { benchDropLoop(nodes, runs, false) })
+	speedup := m.Base / m.Treated
 	if speedup < 5.0 {
 		t.Errorf("incremental speedup %.1f× below the 5× floor", speedup)
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s:\n%s", out, data)
+	benchkit.WriteReport(t, out, map[string]any{
+		"scenario":                "drop-loop",
+		"nodes":                   len(nodes),
+		"runs":                    len(runs),
+		"drops":                   len(inc.Dropped),
+		"samples_per_arm":         samples,
+		"full_cpu_seconds":        m.Base,
+		"incremental_cpu_seconds": m.Treated,
+		"speedup":                 speedup,
+		"speedup_floor":           5.0,
+		"predictions_agree":       equivalent,
+	})
 }

@@ -2,79 +2,21 @@ package engineprof_test
 
 import (
 	"encoding/json"
-	"fmt"
-	"math"
 	"os"
-	"runtime"
-	"syscall"
 	"testing"
 
-	"repro/internal/cluster"
+	"repro/internal/benchkit"
+	"repro/internal/benchkit/replay"
 	"repro/internal/engineprof"
-	"repro/internal/sim"
-	"repro/internal/usage"
 )
 
-// benchReplay drives a campaign replay at observatory scale: nodes×days
-// runs (one per node per day, runsWanted total), each a chained-
-// increment simulation on its node with the usage sampler watching the
-// cluster. Every event goes through a named scope — the launches via
-// "replay", completions via the cluster's "ps" resources, sampler ticks
-// via "usage" — which the attached arm's zero-untagged assertion
-// depends on. When profile is true the kernel profiler is attached for
-// the whole replay; the delta against profile=false is what the 5%
-// budget bounds. Returns the events fired and the profiler (nil when
-// detached).
-func benchReplay(nodes, runsWanted, incs int, profile bool) (int64, *engineprof.Profiler) {
-	days := (runsWanted + nodes - 1) / nodes
-	e := sim.NewEngine()
-	var prof *engineprof.Profiler
-	if profile {
-		prof = engineprof.New()
-		e.SetProbe(prof)
-	}
-	cl := cluster.New(e)
-	cn := make([]*cluster.Node, nodes)
-	for i := range cn {
-		cn[i] = cl.AddNode(fmt.Sprintf("bn%03d", i), 2, 1.0)
-	}
-	samp := usage.NewSampler(cl, usage.Options{Interval: 900})
-	horizon := float64(days) * 86400
-	samp.Start(horizon)
-	sched := e.Scope("replay")
-	runs := 0
-	for d := 0; d < days && runs < runsWanted; d++ {
-		for f := 0; f < nodes && runs < runsWanted; f++ {
-			f, d := f, d
-			runs++
-			name := fmt.Sprintf("bf%03d", f)
-			start := float64(d)*86400 + float64(f%8)*450
-			cost := 3000.0 + float64((f*7+d*13)%11)
-			sched.At(start, func() {
-				var next func(i int)
-				next = func(i int) {
-					if i >= incs {
-						return
-					}
-					cn[f].Submit(fmt.Sprintf("%s[%d]", name, i),
-						cost/float64(incs), func() { next(i + 1) })
-				}
-				next(0)
-			})
-		}
-	}
-	e.Run()
-	samp.Finalize(e.Now())
-	return e.EventsFired(), prof
-}
-
-// BenchmarkReplayDetached is the 200-node × 2000-run replay with no
-// probe attached: the denominator of the overhead budget, and the
-// headline events/sec number.
+// BenchmarkReplayDetached is the shared campaign replay with no probe
+// attached: the denominator of the overhead budget, and the headline
+// events/sec number.
 func BenchmarkReplayDetached(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		benchReplay(200, 2000, 96, false)
+		replay.Run(replay.Options{})
 	}
 }
 
@@ -83,53 +25,27 @@ func BenchmarkReplayDetached(b *testing.B) {
 func BenchmarkReplayProfiled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, prof := benchReplay(200, 2000, 96, true); prof == nil {
-			b.Fatal("profiled replay returned no profiler")
-		}
+		replay.Run(replay.Options{Probe: engineprof.New()})
 	}
 }
 
 // TestEmitBenchReport measures the kernel's replay throughput — events
-// per CPU second with the profiler detached and attached — on a
-// 200-node × 2000-run campaign replay and writes a machine-readable
-// report to the file named by BENCH_OUT; `make bench` sets it and CI
-// uploads the result as an artifact. Without BENCH_OUT the test is
-// skipped.
-//
-// Methodology (inherited from the SPC and forensics benches): detached
-// and profiled replays alternate in ABBA order, samples are process CPU
-// seconds from rusage rather than wall time, and each arm's cost is the
-// MINIMUM across its samples — the fastest interleaved sample
-// approaches the uncontended cost on a shared, noisy box. A measurement
-// that exceeds budget is re-taken once and the quieter (lower-baseline)
-// of the two is reported.
+// per CPU second with the profiler detached and attached — and writes
+// BENCH_sim.json. The arms are timed by benchkit.MinCPU; a measurement
+// that exceeds the 5% budget is re-taken once and the quieter of the two
+// is reported.
 //
 // When BENCH_BASELINE names a committed baseline report, the detached
 // events/sec must stay within 20% of it — the trajectory gate that
 // catches kernel regressions in CI.
 func TestEmitBenchReport(t *testing.T) {
-	out := os.Getenv("BENCH_OUT")
-	if out == "" {
-		t.Skip("BENCH_OUT not set")
-	}
-	const (
-		samples = 12 // per arm
-		nodes   = 200
-		runs    = 2000
-		incs    = 96
-	)
-	cpuSeconds := func() float64 {
-		var ru syscall.Rusage
-		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-			t.Fatal(err)
-		}
-		return float64(ru.Utime.Sec+ru.Stime.Sec) +
-			float64(ru.Utime.Usec+ru.Stime.Usec)/1e6
-	}
-	// Warm-up, and the acceptance assertion: the replay schedules zero
-	// untagged events.
-	events, _ := benchReplay(nodes, runs, incs, false)
-	_, prof := benchReplay(nodes, runs, incs, true)
+	out := benchkit.OutPath(t)
+	const samples = 12 // per arm
+	// The acceptance assertions: the replay schedules zero untagged
+	// events, and the profiler sees every event the engine fires.
+	events := replay.Run(replay.Options{}).Engine.EventsFired()
+	prof := engineprof.New()
+	replay.Run(replay.Options{Probe: prof})
 	rep := prof.Report()
 	if ut := rep.Untagged(); ut.Scheduled != 0 || ut.Fired != 0 || ut.Cancelled != 0 {
 		t.Fatalf("replay scheduled untagged events: %+v", ut)
@@ -138,51 +54,24 @@ func TestEmitBenchReport(t *testing.T) {
 		t.Fatalf("profiler counted %d fired events, engine counted %d",
 			rep.TotalFired(), events)
 	}
-	// Each timed segment starts from a collected heap so a replay pays
-	// for its own garbage, not its neighbor's.
-	timed := func(profile bool) float64 {
-		runtime.GC()
-		t0 := cpuSeconds()
-		benchReplay(nodes, runs, incs, profile)
-		return cpuSeconds() - t0
+	detached := func() { replay.Run(replay.Options{}) }
+	profiled := func() { replay.Run(replay.Options{Probe: engineprof.New()}) }
+	m := benchkit.MinCPU(t, samples, detached, profiled)
+	if m.OverheadPct() > 5 {
+		m = m.Quieter(benchkit.MinCPU(t, samples, detached, profiled))
 	}
-	measure := func() (minBase, minProf float64) {
-		minBase, minProf = math.Inf(1), math.Inf(1)
-		for i := 0; i < samples; i++ {
-			var b, a float64
-			if i%2 == 0 {
-				b = timed(false)
-				a = timed(true)
-			} else {
-				a = timed(true)
-				b = timed(false)
-			}
-			minBase = math.Min(minBase, b)
-			minProf = math.Min(minProf, a)
-		}
-		return minBase, minProf
-	}
-	minBase, minProf := measure()
-	overhead := 100 * (minProf - minBase) / minBase
-	if overhead > 5 {
-		b2, p2 := measure()
-		if b2 < minBase {
-			minBase, minProf = b2, p2
-			overhead = 100 * (minProf - minBase) / minBase
-		}
-	}
-	epsDetached := float64(events) / minBase
-	epsProfiled := float64(events) / minProf
+	overhead := m.OverheadPct()
+	epsDetached := float64(events) / m.Base
 	report := map[string]any{
 		"scenario":                "sim-replay-200x2000",
-		"nodes":                   nodes,
-		"runs":                    runs,
+		"nodes":                   replay.Nodes,
+		"runs":                    replay.Runs,
 		"samples_per_arm":         samples,
 		"events_fired":            events,
-		"detached_cpu_seconds":    minBase,
-		"profiled_cpu_seconds":    minProf,
+		"detached_cpu_seconds":    m.Base,
+		"profiled_cpu_seconds":    m.Treated,
 		"events_per_sec_detached": epsDetached,
-		"events_per_sec_profiled": epsProfiled,
+		"events_per_sec_profiled": float64(events) / m.Treated,
 		"overhead_pct":            overhead,
 		"overhead_budget_pct":     5.0,
 	}
@@ -210,12 +99,5 @@ func TestEmitBenchReport(t *testing.T) {
 			}
 		}
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s:\n%s", out, data)
+	benchkit.WriteReport(t, out, report)
 }

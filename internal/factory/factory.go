@@ -68,14 +68,6 @@ type Config struct {
 	Workers    int
 	Poll       float64
 
-	// OnRunLog, when set, is invoked with every run record the factory
-	// writes (both the provisional "running" record at launch and the
-	// final "completed" one) at the virtual time it is written. This
-	// models §4.3.2's alternative to periodic crawling: "inserting
-	// commands into the run scripts to update the database", which keeps
-	// statistics on currently running forecasts accurate.
-	OnRunLog func(*logs.RunRecord)
-
 	// Telemetry, when non-nil, collects campaign metrics and the span
 	// hierarchy campaign → day → run → {simulation, product task}. The
 	// campaign installs its engine clock on the tracer.
@@ -121,6 +113,7 @@ type Campaign struct {
 	active      map[string]*workflow.Run
 	inputDelays map[string]float64 // per-forecast, today only
 	prepared    bool
+	runLogHooks []func(*logs.RunRecord)
 
 	// Telemetry wiring (all nil when cfg.Telemetry is nil).
 	campaignSpan telemetry.SpanRef
@@ -218,19 +211,17 @@ func (c *Campaign) Horizon() float64 {
 	return c.dayTime(lastDay+1) + float64(c.cfg.DrainDays)*SecondsPerDay
 }
 
-// AddRunLogHook chains fn after any previously configured OnRunLog
-// callback. Observers (the control-room monitor, statsdb feeds) attach
-// here without displacing each other. Call before the campaign runs.
+// AddRunLogHook registers fn to be invoked with every run record the
+// factory writes (both the provisional "running" record at launch and the
+// final "completed" one) at the virtual time it is written. This models
+// §4.3.2's alternative to periodic crawling: "inserting commands into the
+// run scripts to update the database", which keeps statistics on
+// currently running forecasts accurate. Hooks run in registration order,
+// so observers (the control-room monitor, statsdb feeds) attach without
+// displacing each other. Call before the campaign runs.
 func (c *Campaign) AddRunLogHook(fn func(*logs.RunRecord)) {
-	if fn == nil {
-		return
-	}
-	prev := c.cfg.OnRunLog
-	c.cfg.OnRunLog = func(r *logs.RunRecord) {
-		if prev != nil {
-			prev(r)
-		}
-		fn(r)
+	if fn != nil {
+		c.runLogHooks = append(c.runLogHooks, fn)
 	}
 }
 
@@ -460,8 +451,8 @@ func (c *Campaign) writeLog(r *RunResult, status string) {
 	if err := logs.Write(c.fs, rec); err != nil {
 		panic(fmt.Sprintf("factory: write log: %v", err))
 	}
-	if c.cfg.OnRunLog != nil {
-		c.cfg.OnRunLog(rec)
+	for _, fn := range c.runLogHooks {
+		fn(rec)
 	}
 }
 

@@ -1,186 +1,78 @@
 package forensics
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"sort"
 	"testing"
-	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/sim"
-	"repro/internal/telemetry"
-	"repro/internal/usage"
+	"repro/internal/benchkit"
+	"repro/internal/benchkit/replay"
 )
 
-// benchReplay drives a traced, sampled campaign at forensic scale:
-// nodes×days runs (one per node per day, runsWanted total), each a run
-// span wrapping a chained-increment simulation on its node, with the
-// usage sampler observing the whole cluster. When analyze is true a full
-// forensics pass (Analyze over the trace + timeline) follows the replay —
-// the delta against analyze=false is what the 5% budget bounds.
-func benchReplay(nodes, runsWanted, incs int, analyze bool) int {
-	days := (runsWanted + nodes - 1) / nodes
-	e := sim.NewEngine()
-	cl := cluster.New(e)
-	tel := telemetry.New()
-	tel.SetClock(e.Now)
-	tr := tel.Trace()
-
-	names := make([]string, nodes)
-	cn := make([]*cluster.Node, nodes)
-	for i := range cn {
-		names[i] = fmt.Sprintf("bn%03d", i)
-		cn[i] = cl.AddNode(names[i], 2, 1.0)
-	}
-	sampler := usage.NewSampler(cl, usage.Options{Interval: 900})
-	horizon := float64(days) * 86400
-	sampler.Start(horizon)
-
-	var plan []PlanEntry
-	root := tr.Begin("campaign", "bench", "factory", telemetry.SpanRef{})
-	runs := 0
-	for d := 0; d < days && runs < runsWanted; d++ {
-		for f := 0; f < nodes && runs < runsWanted; f++ {
-			f, d := f, d
-			runs++
-			name := fmt.Sprintf("bf%03d", f)
-			start := float64(d)*86400 + float64(f%8)*450
-			plan = append(plan, PlanEntry{
-				Forecast: name, Day: d + 1, Node: names[f],
-				Start: start, End: start + 3000, Deadline: start + 7200,
-			})
-			e.At(start, func() {
-				rs := tr.Begin("run", name, names[f], root)
-				rs.SetArg("forecast", name)
-				rs.SetArg("day", fmt.Sprint(d+1))
-				rs.SetArg("node", names[f])
-				ss := tr.Begin("simulation", "sim "+name, names[f], rs)
-				var next func(i int)
-				next = func(i int) {
-					if i >= incs {
-						ss.EndSpan()
-						rs.EndSpan()
-						return
-					}
-					cn[f].Submit(fmt.Sprintf("%s[%d]", name, i),
-						3000.0/float64(incs), func() { next(i + 1) })
-				}
-				next(0)
-			})
-		}
-	}
-	e.Run()
-	root.EndSpan()
-	sampler.Finalize(e.Now())
-
+// analyzedReplay runs the shared campaign replay, traced like the
+// factory, and when analyze is true follows it with a full forensics
+// pass (Analyze over the trace and the live sampler) against a plan of
+// 3000 s per run and a 7200 s deadline. The delta against analyze=false
+// is what the 5% budget bounds. Returns the number of analyzed runs.
+func analyzedReplay(analyze bool) int {
 	if !analyze {
+		replay.Run(replay.Options{Trace: true})
 		return 0
 	}
+	var plan []PlanEntry
+	res := replay.Run(replay.Options{Trace: true, OnRun: func(r replay.Record) {
+		plan = append(plan, PlanEntry{
+			Forecast: r.Forecast, Day: r.Day, Node: r.Node,
+			Start: r.Start, End: r.Start + 3000, Deadline: r.Start + 7200,
+		})
+	}})
 	// The live pass queries the sampler in place — no sample export.
-	rep, err := Analyze(Input{
-		Spans:    tr.Spans(),
-		Plan:     plan,
-		Timeline: sampler,
-	})
+	rep, err := Analyze(Input{Spans: res.Tracer.Spans(), Plan: plan, Timeline: res.Sampler})
 	if err != nil {
 		panic(err)
 	}
 	return len(rep.Runs)
 }
 
-// BenchmarkReplayBaseline is the 200-node × 2000-run traced replay with
-// no forensics pass: the denominator of the overhead budget.
+// BenchmarkReplayBaseline is the traced replay with no forensics pass:
+// the denominator of the overhead budget.
 func BenchmarkReplayBaseline(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		benchReplay(200, 2000, 96, false)
+		analyzedReplay(false)
 	}
 }
 
 // BenchmarkReplayAnalyzed is the same replay followed by a full forensics
-// pass (critical paths + blame decomposition for all 2000 runs).
+// pass (critical paths + blame decomposition for every run).
 func BenchmarkReplayAnalyzed(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if n := benchReplay(200, 2000, 96, true); n != 2000 {
-			b.Fatalf("analyzed %d runs, want 2000", n)
+		if n := analyzedReplay(true); n != replay.Runs {
+			b.Fatalf("analyzed %d runs, want %d", n, replay.Runs)
 		}
 	}
 }
 
-// TestEmitBenchReport measures the forensics pass's cost on a 200-node ×
-// 2000-run campaign replay and writes a machine-readable report to the
-// file named by BENCH_OUT; `make bench` sets it and CI uploads the result
-// as an artifact. Without BENCH_OUT the test is skipped.
-//
-// Methodology mirrors the usage bench: plain and analyzed replays run as
-// ABBA pairs so heap growth and machine drift cancel, and the reported
-// overhead is the median of per-pair ratios.
+// TestEmitBenchReport measures the forensics pass's cost on the shared
+// campaign replay, timed by benchkit.MinCPU, and writes
+// BENCH_forensics.json.
 func TestEmitBenchReport(t *testing.T) {
-	out := os.Getenv("BENCH_OUT")
-	if out == "" {
-		t.Skip("BENCH_OUT not set")
-	}
-	const (
-		pairs = 8
-		nodes = 200
-		runs  = 2000
-		incs  = 96
-	)
-	benchReplay(nodes, runs, incs, false) // warm-up
-	benchReplay(nodes, runs, incs, true)
-	var base, analyzed, ratios []float64
-	for i := 0; i < pairs; i++ {
-		var b, a float64
-		if i%2 == 0 {
-			t0 := time.Now()
-			benchReplay(nodes, runs, incs, false)
-			b = time.Since(t0).Seconds()
-			t1 := time.Now()
-			benchReplay(nodes, runs, incs, true)
-			a = time.Since(t1).Seconds()
-		} else {
-			t1 := time.Now()
-			benchReplay(nodes, runs, incs, true)
-			a = time.Since(t1).Seconds()
-			t0 := time.Now()
-			benchReplay(nodes, runs, incs, false)
-			b = time.Since(t0).Seconds()
-		}
-		base = append(base, b)
-		analyzed = append(analyzed, a)
-		ratios = append(ratios, 100*(a-b)/b)
-	}
-	sort.Float64s(ratios)
-	overhead := (ratios[pairs/2-1] + ratios[pairs/2]) / 2
-	mean := func(xs []float64) float64 {
-		var sum float64
-		for _, x := range xs {
-			sum += x
-		}
-		return sum / float64(len(xs))
-	}
-	report := map[string]any{
-		"scenario":            "replay-200x2000",
-		"nodes":               nodes,
-		"runs":                runs,
-		"pairs":               pairs,
-		"baseline_seconds":    mean(base),
-		"analyzed_seconds":    mean(analyzed),
-		"overhead_pct":        overhead,
-		"overhead_budget_pct": 5.0,
-	}
+	out := benchkit.OutPath(t)
+	const samples = 8 // per arm
+	m := benchkit.MinCPU(t, samples,
+		func() { analyzedReplay(false) },
+		func() { analyzedReplay(true) })
+	overhead := m.OverheadPct()
 	if overhead > 5 {
 		t.Errorf("forensics overhead %.1f%% exceeds the 5%% budget", overhead)
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s:\n%s", out, data)
+	benchkit.WriteReport(t, out, map[string]any{
+		"scenario":             "replay-200x2000",
+		"nodes":                replay.Nodes,
+		"runs":                 replay.Runs,
+		"samples_per_arm":      samples,
+		"baseline_cpu_seconds": m.Base,
+		"analyzed_cpu_seconds": m.Treated,
+		"overhead_pct":         overhead,
+		"overhead_budget_pct":  5.0,
+	})
 }

@@ -85,7 +85,7 @@ func TestCampaignBlameSumsToLateness(t *testing.T) {
 	rep, err := Analyze(Input{
 		Spans:    tel.Trace().Spans(),
 		Plan:     campaignPlan(c, 2000),
-		Timeline: NewTimeline(sampler.Samples()),
+		Timeline: usage.NewTimeline(sampler.Samples()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestReportStatsdbRoundTrip(t *testing.T) {
 	rep, err := Analyze(Input{
 		Spans:    tel.Trace().Spans(),
 		Plan:     campaignPlan(c, 2000),
-		Timeline: NewTimeline(sampler.Samples()),
+		Timeline: usage.NewTimeline(sampler.Samples()),
 	})
 	if err != nil {
 		t.Fatal(err)

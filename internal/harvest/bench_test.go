@@ -1,12 +1,11 @@
 package harvest
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
+	"repro/internal/benchkit"
 	"repro/internal/logs"
 	"repro/internal/statsdb"
 	"repro/internal/vfs"
@@ -68,10 +67,7 @@ func BenchmarkHarvestWarmPass(b *testing.B) {
 // file named by BENCH_OUT; `make bench` sets it and CI uploads the result
 // as an artifact. Without BENCH_OUT the test is skipped.
 func TestEmitBenchReport(t *testing.T) {
-	out := os.Getenv("BENCH_OUT")
-	if out == "" {
-		t.Skip("BENCH_OUT not set")
-	}
+	out := benchkit.OutPath(t)
 	const forecasts, days = 100, 4
 	fs := benchTree(t, forecasts, days)
 	h, err := New(fs, statsdb.NewDB(), NewVFSJournal(vfs.New(nil), "/j"), Options{})
@@ -102,12 +98,5 @@ func TestEmitBenchReport(t *testing.T) {
 		"warm_speedup":       cold / warm,
 		"records_per_second": float64(st.Ingested) / cold,
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s:\n%s", out, data)
+	benchkit.WriteReport(t, out, report)
 }

@@ -1,9 +1,9 @@
 package serving
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
+
+	"repro/internal/benchkit"
 )
 
 // benchScenario is the BENCH_serving.json workload: two days, a late
@@ -47,10 +47,7 @@ func BenchmarkStormScenario(b *testing.B) {
 // user requests measured, and zero made-to-stock deadlines displaced by
 // render load during the flash crowd.
 func TestEmitBenchReport(t *testing.T) {
-	out := os.Getenv("BENCH_OUT")
-	if out == "" {
-		t.Skip("BENCH_OUT not set")
-	}
+	out := benchkit.OutPath(t)
 	const users = 1_200_000
 	res, err := RunScenario(benchScenario(users))
 	if err != nil {
@@ -82,12 +79,5 @@ func TestEmitBenchReport(t *testing.T) {
 		"min_requests_gate":        1_000_000,
 		"stock_late_gate":          0,
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s:\n%s", out, data)
+	benchkit.WriteReport(t, out, report)
 }

@@ -1,107 +1,49 @@
 package spc_test
 
 import (
-	"encoding/json"
-	"fmt"
-	"math"
-	"os"
-	"runtime"
-	"syscall"
 	"testing"
 
-	"repro/internal/cluster"
-	"repro/internal/sim"
+	"repro/internal/benchkit"
+	"repro/internal/benchkit/replay"
 	"repro/internal/spc"
-	"repro/internal/telemetry"
-	"repro/internal/usage"
 )
 
-// benchReplay drives a campaign replay at observatory scale: nodes×days
-// runs (one per node per day, runsWanted total), each a traced
-// chained-increment simulation on its node with the usage sampler
-// watching the cluster — the factory's standing instrumentation, present
-// in both arms like the forensics bench. When observe is true every
-// completed run additionally streams through the SPC observatory — run
-// time, estimate error and drift per forecast, daily lateness, per-node
-// daily shares from the sampler — and the final report is assembled; the
-// delta against observe=false is what the 5% budget bounds.
-func benchReplay(nodes, runsWanted, incs int, observe bool) int {
-	days := (runsWanted + nodes - 1) / nodes
-	e := sim.NewEngine()
-	cl := cluster.New(e)
-	tel := telemetry.New()
-	tel.SetClock(e.Now)
-	tr := tel.Trace()
-	var obs *spc.Observatory
-	if observe {
-		obs = spc.New(spc.DefaultParams())
-	}
-	names := make([]string, nodes)
-	cn := make([]*cluster.Node, nodes)
-	for i := range cn {
-		names[i] = fmt.Sprintf("bn%03d", i)
-		cn[i] = cl.AddNode(names[i], 2, 1.0)
-	}
-	samp := usage.NewSampler(cl, usage.Options{Interval: 900})
-	horizon := float64(days) * 86400
-	samp.Start(horizon)
-	root := tr.Begin("campaign", "bench", "factory", telemetry.SpanRef{})
-	runs := 0
-	for d := 0; d < days && runs < runsWanted; d++ {
-		for f := 0; f < nodes && runs < runsWanted; f++ {
-			f, d := f, d
-			runs++
-			name := fmt.Sprintf("bf%03d", f)
-			start := float64(d)*86400 + float64(f%8)*450
-			// Deterministic jitter so the charts judge varied points
-			// instead of a flat line.
-			cost := 3000.0 + float64((f*7+d*13)%11)
-			e.At(start, func() {
-				launched := e.Now()
-				rs := tr.Begin("run", name, names[f], root)
-				var next func(i int)
-				next = func(i int) {
-					if i >= incs {
-						rs.EndSpan()
-						if obs != nil {
-							obs.ObserveRun(spc.RunObs{
-								Forecast: name, Day: d + 1, Node: names[f],
-								Walltime: e.Now() - launched, EstimatedWalltime: 3000,
-								End: e.Now(), Deadline: start + 7200,
-							})
-							obs.ObserveDrift(name, d+1, e.Now(), e.Now()-(start+3000))
-						}
-						return
-					}
-					cn[f].Submit(fmt.Sprintf("%s[%d]", name, i),
-						cost/float64(incs), func() { next(i + 1) })
-				}
-				next(0)
-			})
-		}
-	}
-	e.Run()
-	root.EndSpan()
-	samp.Finalize(e.Now())
-	if obs == nil {
+// observedReplay runs the shared campaign replay, traced like the
+// factory, and when observe is true streams every completed run through
+// the SPC observatory — run time, estimate error and drift per forecast,
+// daily lateness, per-node daily shares from the sampler — and assembles
+// the final report. The delta against observe=false is what the 5%
+// budget bounds. Returns the number of charted series.
+func observedReplay(observe bool) int {
+	if !observe {
+		replay.Run(replay.Options{Trace: true})
 		return 0
 	}
-	for d := 0; d < days; d++ {
+	obs := spc.New(spc.DefaultParams())
+	res := replay.Run(replay.Options{Trace: true, OnRun: func(r replay.Record) {
+		obs.ObserveRun(spc.RunObs{
+			Forecast: r.Forecast, Day: r.Day, Node: r.Node,
+			Walltime: r.End - r.Start, EstimatedWalltime: 3000,
+			End: r.End, Deadline: r.Start + 7200,
+		})
+		obs.ObserveDrift(r.Forecast, r.Day, r.End, r.End-(r.Start+3000))
+	}})
+	for d := 0; d < replay.Days; d++ {
 		t0, t1 := float64(d)*86400, float64(d+1)*86400
-		for _, n := range names {
-			obs.ObserveNodeShare(n, d+1, t1, samp.MeanShareOver(n, t0, t1))
+		for _, n := range res.Nodes {
+			obs.ObserveNodeShare(n, d+1, t1, res.Sampler.MeanShareOver(n, t0, t1))
 		}
 	}
 	obs.Finalize()
 	return len(obs.Report().Series)
 }
 
-// BenchmarkReplayBaseline is the 200-node × 2000-run replay with no SPC
-// observation: the denominator of the overhead budget.
+// BenchmarkReplayBaseline is the shared replay with no SPC observation:
+// the denominator of the overhead budget.
 func BenchmarkReplayBaseline(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		benchReplay(200, 2000, 96, false)
+		observedReplay(false)
 	}
 }
 
@@ -110,102 +52,38 @@ func BenchmarkReplayBaseline(b *testing.B) {
 func BenchmarkReplayObserved(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if n := benchReplay(200, 2000, 96, true); n == 0 {
+		if n := observedReplay(true); n == 0 {
 			b.Fatal("observed replay produced no series")
 		}
 	}
 }
 
-// TestEmitBenchReport measures the observatory's cost on a 200-node ×
-// 2000-run campaign replay and writes a machine-readable report to the
-// file named by BENCH_OUT; `make bench` sets it and CI uploads the
-// result as an artifact. Without BENCH_OUT the test is skipped.
-//
-// Methodology: plain and observed replays alternate in ABBA order
-// (pairing inherited from the forensics bench), samples are process CPU
-// seconds from rusage rather than wall time, and each arm's cost is the
-// MINIMUM across its samples. The minimum — not a mean or a median of
-// paired ratios — is what survives this class of machine: a shared box
-// where cache and memory-bandwidth contention from neighbors swings the
-// memory-heavy replay's CPU cost by ±20% sample to sample (a register-
-// only spin probe stays within ±3%, so it is not frequency), too fast
-// for pairing to cancel. The fastest interleaved sample of each arm
-// approaches the uncontended cost. Because a whole measurement can still
-// land inside a loud window, a measurement that exceeds budget is
-// re-taken once and the quieter (lower-baseline) of the two is reported.
+// TestEmitBenchReport measures the observatory's cost on the shared
+// campaign replay and writes BENCH_spc.json. The arms are timed by
+// benchkit.MinCPU; because a whole measurement can still land inside a
+// loud window, one that exceeds the 5% budget is re-taken once and the
+// quieter of the two is reported.
 func TestEmitBenchReport(t *testing.T) {
-	out := os.Getenv("BENCH_OUT")
-	if out == "" {
-		t.Skip("BENCH_OUT not set")
+	out := benchkit.OutPath(t)
+	const samples = 12 // per arm
+	plain := func() { observedReplay(false) }
+	observed := func() { observedReplay(true) }
+	m := benchkit.MinCPU(t, samples, plain, observed)
+	if m.OverheadPct() > 5 {
+		m = m.Quieter(benchkit.MinCPU(t, samples, plain, observed))
 	}
-	const (
-		samples = 12 // per arm
-		nodes   = 200
-		runs    = 2000
-		incs    = 96
-	)
-	cpuSeconds := func() float64 {
-		var ru syscall.Rusage
-		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-			t.Fatal(err)
-		}
-		return float64(ru.Utime.Sec+ru.Stime.Sec) +
-			float64(ru.Utime.Usec+ru.Stime.Usec)/1e6
-	}
-	benchReplay(nodes, runs, incs, false) // warm-up
-	benchReplay(nodes, runs, incs, true)
-	// Each timed segment starts from a collected heap so a replay pays
-	// for its own garbage, not its neighbor's.
-	timed := func(observe bool) float64 {
-		runtime.GC()
-		t0 := cpuSeconds()
-		benchReplay(nodes, runs, incs, observe)
-		return cpuSeconds() - t0
-	}
-	measure := func() (minBase, minObs float64) {
-		minBase, minObs = math.Inf(1), math.Inf(1)
-		for i := 0; i < samples; i++ {
-			var b, a float64
-			if i%2 == 0 {
-				b = timed(false)
-				a = timed(true)
-			} else {
-				a = timed(true)
-				b = timed(false)
-			}
-			minBase = math.Min(minBase, b)
-			minObs = math.Min(minObs, a)
-		}
-		return minBase, minObs
-	}
-	minBase, minObs := measure()
-	overhead := 100 * (minObs - minBase) / minBase
-	if overhead > 5 {
-		b2, o2 := measure()
-		if b2 < minBase {
-			minBase, minObs = b2, o2
-			overhead = 100 * (minObs - minBase) / minBase
-		}
-	}
-	report := map[string]any{
-		"scenario":             "spc-replay-200x2000",
-		"nodes":                nodes,
-		"runs":                 runs,
-		"samples_per_arm":      samples,
-		"baseline_cpu_seconds": minBase,
-		"observed_cpu_seconds": minObs,
-		"overhead_pct":         overhead,
-		"overhead_budget_pct":  5.0,
-	}
+	overhead := m.OverheadPct()
 	if overhead > 5 {
 		t.Errorf("spc overhead %.1f%% exceeds the 5%% budget", overhead)
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s:\n%s", out, data)
+	benchkit.WriteReport(t, out, map[string]any{
+		"scenario":             "spc-replay-200x2000",
+		"nodes":                replay.Nodes,
+		"runs":                 replay.Runs,
+		"samples_per_arm":      samples,
+		"baseline_cpu_seconds": m.Base,
+		"observed_cpu_seconds": m.Treated,
+		"overhead_pct":         overhead,
+		"overhead_budget_pct":  5.0,
+	})
 }

@@ -1,13 +1,10 @@
 package usage
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"sort"
 	"testing"
-	"time"
 
+	"repro/internal/benchkit"
 	"repro/internal/cluster"
 	"repro/internal/factory"
 	"repro/internal/sim"
@@ -126,73 +123,24 @@ func BenchmarkFactorySampled(b *testing.B) {
 }
 
 // TestEmitBenchReport measures the sampler's slowdown on the standard
-// fig8 campaign and writes a machine-readable report to the file named
-// by BENCH_OUT; `make bench` sets it and CI uploads the result as an
-// artifact. Without BENCH_OUT the test is skipped.
-//
-// Methodology: baseline and sampled campaigns run as ABBA pairs (the
-// order within a pair alternates so heap growth and machine drift cancel
-// instead of always penalizing one side), and the reported overhead is
-// the median of the per-pair ratios — a single noisy pair on a shared
-// machine cannot swing it.
+// fig8 campaign, timed by benchkit.MinCPU, and writes BENCH_usage.json.
 func TestEmitBenchReport(t *testing.T) {
-	out := os.Getenv("BENCH_OUT")
-	if out == "" {
-		t.Skip("BENCH_OUT not set")
-	}
-	const pairs = 8
-	days := factory.Figure8Scenario().Days
-	benchFactory(0, false) // warm-up
-	benchFactory(0, true)
-	var base, withSampler, ratios []float64
-	for i := 0; i < pairs; i++ {
-		var b, s float64
-		if i%2 == 0 {
-			t0 := time.Now()
-			benchFactory(0, false)
-			b = time.Since(t0).Seconds()
-			t1 := time.Now()
-			benchFactory(0, true)
-			s = time.Since(t1).Seconds()
-		} else {
-			t1 := time.Now()
-			benchFactory(0, true)
-			s = time.Since(t1).Seconds()
-			t0 := time.Now()
-			benchFactory(0, false)
-			b = time.Since(t0).Seconds()
-		}
-		base = append(base, b)
-		withSampler = append(withSampler, s)
-		ratios = append(ratios, 100*(s-b)/b)
-	}
-	sort.Float64s(ratios)
-	overhead := (ratios[pairs/2-1] + ratios[pairs/2]) / 2
-	mean := func(xs []float64) float64 {
-		var sum float64
-		for _, x := range xs {
-			sum += x
-		}
-		return sum / float64(len(xs))
-	}
-	report := map[string]any{
-		"scenario":            "fig8",
-		"days":                days,
-		"pairs":               pairs,
-		"baseline_seconds":    mean(base),
-		"sampled_seconds":     mean(withSampler),
-		"overhead_pct":        overhead,
-		"overhead_budget_pct": 5.0,
-	}
+	out := benchkit.OutPath(t)
+	const samples = 8 // per arm
+	m := benchkit.MinCPU(t, samples,
+		func() { benchFactory(0, false) },
+		func() { benchFactory(0, true) })
+	overhead := m.OverheadPct()
 	if overhead > 5 {
 		t.Errorf("sampler overhead %.1f%% exceeds the 5%% budget", overhead)
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s:\n%s", out, data)
+	benchkit.WriteReport(t, out, map[string]any{
+		"scenario":             "fig8",
+		"days":                 factory.Figure8Scenario().Days,
+		"samples_per_arm":      samples,
+		"baseline_cpu_seconds": m.Base,
+		"sampled_cpu_seconds":  m.Treated,
+		"overhead_pct":         overhead,
+		"overhead_budget_pct":  5.0,
+	})
 }

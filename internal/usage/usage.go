@@ -803,12 +803,95 @@ func (s *Sampler) JobShares() []JobShare {
 func (s *Sampler) MeanShareOver(node string, start, end float64) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ns := s.nodes[node]
-	if ns == nil || end <= start {
+	return meanShareOver(s.nodeSamples(node), start, end)
+}
+
+// DownSecsOver returns the node's down time overlapping [start, end],
+// pro-rated within partially overlapped timeline buckets. Forensic blame
+// attribution charges this to the failure component.
+func (s *Sampler) DownSecsOver(node string, start, end float64) float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return downSecsOver(s.nodeSamples(node), start, end)
+}
+
+// nodeSamples is a node's flushed timeline (nil for an unknown node).
+func (s *Sampler) nodeSamples(node string) []Sample {
+	if ns := s.nodes[node]; ns != nil {
+		return ns.samples
+	}
+	return nil
+}
+
+// Timeline is a replayable view of a sampler's per-node samples: the
+// same share and down-time integrals as the live Sampler, computed from
+// Sampler.Samples() or from node_usage rows read back out of the
+// statistics database, long after the campaign's engine is gone.
+// A nil *Timeline reports share 1 and no down time everywhere.
+type Timeline struct {
+	nodes map[string][]Sample
+}
+
+// NewTimeline groups samples per node and sorts each node's slice by
+// interval start. A node's samples are assumed non-overlapping (they are
+// timeline buckets), which is what lets the integrals locate the overlap
+// range by binary search. Input already contiguous per node — the layout
+// Sampler.Samples() and a node-ordered statsdb read both produce — is
+// subsliced in place rather than copied, which keeps a replay over a
+// campaign-scale timeline out of the allocator.
+func NewTimeline(samples []Sample) *Timeline {
+	t := &Timeline{nodes: make(map[string][]Sample)}
+	grouped := true
+	for i := 0; i < len(samples); {
+		j := i + 1
+		for j < len(samples) && samples[j].Node == samples[i].Node {
+			j++
+		}
+		if _, dup := t.nodes[samples[i].Node]; dup {
+			grouped = false
+			break
+		}
+		t.nodes[samples[i].Node] = samples[i:j:j]
+		i = j
+	}
+	if !grouped {
+		// Interleaved nodes: rebuild with per-node copies.
+		t.nodes = make(map[string][]Sample)
+		for _, s := range samples {
+			t.nodes[s.Node] = append(t.nodes[s.Node], s)
+		}
+	}
+	for _, ss := range t.nodes {
+		if !sort.SliceIsSorted(ss, func(i, j int) bool { return ss[i].Start < ss[j].Start }) {
+			sort.Slice(ss, func(i, j int) bool { return ss[i].Start < ss[j].Start })
+		}
+	}
+	return t
+}
+
+// MeanShareOver is Sampler.MeanShareOver over the replayed samples.
+func (t *Timeline) MeanShareOver(node string, start, end float64) float64 {
+	if t == nil {
+		return 1
+	}
+	return meanShareOver(t.nodes[node], start, end)
+}
+
+// DownSecsOver is Sampler.DownSecsOver over the replayed samples.
+func (t *Timeline) DownSecsOver(node string, start, end float64) float64 {
+	if t == nil {
+		return 0
+	}
+	return downSecsOver(t.nodes[node], start, end)
+}
+
+// meanShareOver integrates one node's timeline over [start, end].
+func meanShareOver(ss []Sample, start, end float64) float64 {
+	if end <= start {
 		return 1
 	}
 	var shareInt, runSecs float64
-	for _, sm := range overlappingSamples(ns.samples, start, end) {
+	for _, sm := range overlappingSamples(ss, start, end) {
 		lo, hi := math.Max(sm.Start, start), math.Min(sm.End, end)
 		if hi <= lo {
 			continue
@@ -825,20 +908,15 @@ func (s *Sampler) MeanShareOver(node string, start, end float64) float64 {
 	return shareInt / runSecs
 }
 
-// DownSecsOver returns the node's down time overlapping [start, end],
-// pro-rated within partially overlapped timeline buckets. Forensic blame
-// attribution charges this to the failure component.
-func (s *Sampler) DownSecsOver(node string, start, end float64) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ns := s.nodes[node]
-	if ns == nil || end <= start {
+// downSecsOver sums one node's down time over [start, end].
+func downSecsOver(ss []Sample, start, end float64) float64 {
+	if end <= start {
 		return 0
 	}
 	var down float64
-	for _, sm := range overlappingSamples(ns.samples, start, end) {
+	for _, sm := range overlappingSamples(ss, start, end) {
 		lo, hi := math.Max(sm.Start, start), math.Min(sm.End, end)
-		if hi <= lo || sm.End <= sm.Start {
+		if hi <= lo {
 			continue
 		}
 		down += sm.DownSecs * (hi - lo) / (sm.End - sm.Start)
@@ -846,10 +924,10 @@ func (s *Sampler) DownSecsOver(node string, start, end float64) float64 {
 	return down
 }
 
-// overlappingSamples narrows a node's flushed timeline (disjoint buckets
-// in start order) to the ones that can intersect [start, end] — binary
-// search on both ends, so window queries over a long campaign cost
-// O(log n + overlap) instead of a full rescan per query.
+// overlappingSamples narrows a node's timeline (disjoint buckets in start
+// order) to the ones that can intersect [start, end] — binary search on
+// both ends, so window queries over a long campaign cost O(log n +
+// overlap) instead of a full rescan per query.
 func overlappingSamples(ss []Sample, start, end float64) []Sample {
 	lo := sort.Search(len(ss), func(i int) bool { return ss[i].End > start })
 	hi := lo + sort.Search(len(ss)-lo, func(i int) bool { return ss[lo+i].Start >= end })

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/factory"
 	"repro/internal/sim"
 	"repro/internal/statsdb"
 	"repro/internal/telemetry"
@@ -472,4 +473,79 @@ func TestReportAndDriftReport(t *testing.T) {
 			t.Errorf("drift report missing %q:\n%s", want, dr)
 		}
 	}
+}
+
+func TestTimelineIntegrals(t *testing.T) {
+	tl := NewTimeline([]Sample{
+		{Node: "n1", Start: 0, End: 100, MeanShare: 1.0},
+		{Node: "n1", Start: 100, End: 200, MeanShare: 0.5, DownSecs: 20},
+		{Node: "n2", Start: 0, End: 100, MeanShare: 0.25},
+	})
+	// Full overlap of both n1 samples: run time 100 + 80, share-weighted.
+	want := (1.0*100 + 0.5*80) / 180
+	if got := tl.MeanShareOver("n1", 0, 200); math.Abs(got-want) > eps {
+		t.Errorf("MeanShareOver(n1, 0, 200) = %v, want %v", got, want)
+	}
+	// Half overlap of the second sample pro-rates run and down time.
+	want = (1.0*100 + 0.5*40) / 140
+	if got := tl.MeanShareOver("n1", 0, 150); math.Abs(got-want) > eps {
+		t.Errorf("MeanShareOver(n1, 0, 150) = %v, want %v", got, want)
+	}
+	if got := tl.DownSecsOver("n1", 0, 150); math.Abs(got-10) > eps {
+		t.Errorf("DownSecsOver(n1, 0, 150) = %v, want 10", got)
+	}
+	// No samples / nil timeline: share 1, no down time.
+	if got := tl.MeanShareOver("missing", 0, 100); got != 1 {
+		t.Errorf("MeanShareOver on unknown node = %v, want 1", got)
+	}
+	var nilTL *Timeline
+	if nilTL.MeanShareOver("n1", 0, 10) != 1 || nilTL.DownSecsOver("n1", 0, 10) != 0 {
+		t.Error("nil Timeline must report share 1 and no down time")
+	}
+}
+
+// TestTimelineMatchesSamplerOnCampaign replays a real campaign's samples
+// through Timeline and requires the same floats the live Sampler returns,
+// over windows of many widths and offsets, including empty and inverted
+// ones, ones past the horizon, and ones across an injected node failure.
+func TestTimelineMatchesSamplerOnCampaign(t *testing.T) {
+	cfg := factory.Figure8Scenario()
+	cfg.Days, cfg.Events = 4, nil
+	c, err := factory.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Prepare()
+	s := NewSampler(c.Cluster(), Options{})
+	s.Start(c.Horizon())
+	down := c.Cluster().Nodes()[0]
+	c.Engine().At(1.2*86400, func() { down.Fail() })
+	c.Engine().At(1.3*86400, func() { down.Repair() })
+	c.Finish()
+	s.Finalize(c.Engine().Now())
+
+	tl := NewTimeline(s.Samples())
+	if tl.DownSecsOver(down.Name(), 0, c.Horizon()) <= 0 {
+		t.Fatal("injected failure left no down time in the timeline")
+	}
+	nodes := []string{"missing"}
+	for _, n := range c.Cluster().Nodes() {
+		nodes = append(nodes, n.Name())
+	}
+	windows := 0
+	for _, node := range nodes {
+		for start := -1000.0; start < c.Horizon(); start += 3217 {
+			for _, width := range []float64{-5, 0, 1, 450, 900, 3600, 7777, 86400, 3 * 86400} {
+				end := start + width
+				if got, want := tl.MeanShareOver(node, start, end), s.MeanShareOver(node, start, end); got != want {
+					t.Fatalf("MeanShareOver(%s, %v, %v): timeline %v, sampler %v", node, start, end, got, want)
+				}
+				if got, want := tl.DownSecsOver(node, start, end), s.DownSecsOver(node, start, end); got != want {
+					t.Fatalf("DownSecsOver(%s, %v, %v): timeline %v, sampler %v", node, start, end, got, want)
+				}
+				windows++
+			}
+		}
+	}
+	t.Logf("%d windows agree across %d nodes", windows, len(nodes))
 }
