@@ -1,10 +1,11 @@
 # Build and verification entry points. `make check` is the full gate:
-# the tier-1 suite (ROADMAP.md) plus static analysis, the race detector
-# over every package, and the campaign benchmark module's own tests.
+# the tier-1 suite (ROADMAP.md) plus formatting, static analysis, the race
+# detector over every package, and the campaign benchmark module's own
+# tests.
 
 GO ?= go
 
-.PHONY: all build test check vet race perfbench bench clean
+.PHONY: all build test check fmt vet race perfbench bench clean
 
 all: build
 
@@ -14,6 +15,10 @@ build:
 # Tier-1: what every change must keep green.
 test: build
 	$(GO) test ./...
+
+# gofmt lists every file whose formatting differs; the tree must list none.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -29,7 +34,7 @@ race:
 perfbench:
 	$(GO) -C perfbench test ./...
 
-check: test vet race perfbench
+check: test fmt vet race perfbench
 
 # Experiment benchmarks plus the machine-readable BENCH_*.json reports CI
 # uploads. Every overhead or speedup gate times its two arms one way, in

@@ -66,7 +66,7 @@ import (
 )
 
 func main() {
-	scenario := flag.String("scenario", "fig8", "campaign scenario: fig8 or fig9")
+	scenario := flag.String("scenario", "fig8", "campaign scenario: fig8, fig9, or growth")
 	forecastName := flag.String("forecast", "", "forecast to print the walltime series for (default: the scenario's subject)")
 	days := flag.Int("days", 0, "override the number of days simulated")
 	snapshotAt := flag.Float64("snapshot", 0, "pause at this many hours into the campaign and show the factory monitor")
@@ -161,7 +161,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "runs-dir:", err)
 				return
 			}
-			if err := os.WriteFile(filepath.Join(dir, "run.log"), []byte(logs.Format(r)), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, logs.LogFile), []byte(logs.Format(r)), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, "runs-dir:", err)
 			}
 		})
@@ -255,7 +255,7 @@ func main() {
 	var spcObs *spc.Observatory
 	var servedAddr net.Addr
 	if *monitorAddr != "" {
-		opts := monitor.DefaultOptions()
+		opts := monitor.Options{}
 		if harv != nil {
 			// Data-quality rules over the harvest pipeline's own metrics:
 			// page when the harvester's heartbeat goes quiet for two
@@ -295,7 +295,7 @@ func main() {
 		// and the out_of_control/changepoint alerts they drive — track the
 		// replay live. Drift and node-share series need the run ledger and
 		// usage timeline and are closed out after the campaign drains.
-		spcObs = spc.New(spc.DefaultParams())
+		spcObs = spc.New()
 		spcObs.OnEvent(func(e spc.Event) {
 			if cp := e.Changepoint; cp != nil {
 				mon.ObserveChangepoint(e.Kind, e.Subject, cp.Day, cp.DetectedDay, cp.Cause, cp.Before, cp.After)

@@ -250,7 +250,7 @@ func main() {
 		// The control room watches the bootstrap campaign: its alert history
 		// becomes the "alerts" table and its SLO report backs -slo.
 		if tel != nil {
-			opts := monitor.DefaultOptions()
+			opts := monitor.Options{}
 			// A day whose dominant lateness cause differs from the
 			// previous day's is an assignable-cause signal; -blame feeds
 			// the per-day decomposition back into this rule.
@@ -746,7 +746,7 @@ func spcReport(db *statsdb.DB, campaign *factory.Campaign, mon *monitor.Monitor,
 	if subject == "all" {
 		subject = ""
 	}
-	obs := spc.New(spc.DefaultParams())
+	obs := spc.New()
 	fits, err := obs.SeedFromDB(db)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -18,18 +18,19 @@ import (
 )
 
 // Job and node lifecycle event kinds, delivered to Cluster.OnEvent
-// observers. Submit/finish/cancel are per-job; fail/repair are per-node
-// (Job is empty).
+// observers. Submit/finish/cancel are per-job; add/fail/repair are
+// per-node (Job is empty).
 const (
 	EventSubmit = "submit"
 	EventFinish = "finish"
 	EventCancel = "cancel"
+	EventAdd    = "add"
 	EventFail   = "fail"
 	EventRepair = "repair"
 )
 
 // JobEvent is one lifecycle transition on the cluster: a job starting,
-// finishing, or being cancelled, or a node going down or coming back.
+// finishing, or being cancelled, or a node joining, failing or returning.
 // Events fire at the virtual instant the transition takes effect, after
 // the node's resource state already reflects it — an observer reading
 // Node.Active or Node.BusySeconds from the callback sees the new state.
@@ -39,7 +40,7 @@ type JobEvent struct {
 	Job  string // job label; empty for fail/repair
 	Time float64
 	// Host is the node itself and Handle the job itself (nil for
-	// fail/repair), so an observer finds its own state for them without
+	// add/fail/repair), so an observer finds its own state for them without
 	// comparing names or labels.
 	Host   *Node
 	Handle *Job
@@ -234,9 +235,10 @@ func (c *Cluster) OnEvent(fn func(JobEvent)) {
 	}
 }
 
-// AddNode creates a node with the given CPU count and relative speed.
-// Adding a duplicate name or non-positive parameters panics: cluster
-// construction errors are programming errors in this library.
+// AddNode creates a node with the given CPU count and relative speed and
+// reports it to the observer as an add event. Adding a duplicate name or
+// non-positive parameters panics: cluster construction errors are
+// programming errors in this library.
 func (c *Cluster) AddNode(name string, cpus int, speed float64) *Node {
 	if _, ok := c.nodes[name]; ok {
 		panic(fmt.Sprintf("cluster: duplicate node %q", name))
@@ -256,6 +258,7 @@ func (c *Cluster) AddNode(name string, cpus int, speed float64) *Node {
 	c.nodes[name] = n
 	c.order = append(c.order, name)
 	sort.Strings(c.order)
+	n.emit(EventAdd, nil)
 	return n
 }
 

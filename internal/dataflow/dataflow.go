@@ -59,10 +59,8 @@ func (a Architecture) String() string {
 type Params struct {
 	Spec *forecast.Spec
 
-	ClientCPUs  int
-	ClientSpeed float64
-	ServerCPUs  int
-	ServerSpeed float64
+	ClientCPUs int
+	ServerCPUs int
 
 	Bandwidth     float64 // link bytes/second
 	RsyncInterval float64 // seconds between rsync scans
@@ -71,21 +69,23 @@ type Params struct {
 	Workers    int
 	Poll       float64
 
-	// Watch lists run-relative data series to sample, as in Figures 6/7.
-	// Entries name either model-output files or product directories; the
-	// special name "process" watches the master process's directory.
-	// Nil selects the paper's five series.
-	Watch []string
-
-	// SampleInterval is the spacing of series samples (default 60 s).
-	SampleInterval float64
-
 	// Telemetry, when non-nil, receives link/workflow metrics and an
 	// experiment span tree (experiment → simulation/product/transfer).
 	Telemetry *telemetry.Telemetry
 }
 
-// DefaultWatch is the five series plotted in Figures 6 and 7.
+// Testbed constants: the client is the reference speed, the server runs
+// at its clock ratio to the client, and series are sampled every minute.
+const (
+	clientSpeed    = 1.0
+	serverSpeed    = 2.60 / 2.80
+	sampleInterval = 60 // seconds
+)
+
+// DefaultWatch is the five series plotted in Figures 6 and 7: the
+// run-relative data series every experiment samples. Entries name either
+// model-output files or product directories; the special name "process"
+// watches the master process's directory.
 var DefaultWatch = []string{
 	"1_salt.63",
 	"2_salt.63",
@@ -101,14 +101,8 @@ func (p *Params) fillDefaults() {
 	if p.ClientCPUs == 0 {
 		p.ClientCPUs = 1
 	}
-	if p.ClientSpeed == 0 {
-		p.ClientSpeed = 1.0
-	}
 	if p.ServerCPUs == 0 {
 		p.ServerCPUs = 1
-	}
-	if p.ServerSpeed == 0 {
-		p.ServerSpeed = 2.60 / 2.80
 	}
 	if p.Bandwidth == 0 {
 		p.Bandwidth = 12.5e6
@@ -124,12 +118,6 @@ func (p *Params) fillDefaults() {
 	}
 	if p.Poll == 0 {
 		p.Poll = workflow.DefaultPoll
-	}
-	if p.Watch == nil {
-		p.Watch = DefaultWatch
-	}
-	if p.SampleInterval == 0 {
-		p.SampleInterval = 60
 	}
 }
 
@@ -182,8 +170,8 @@ func Run(arch Architecture, p Params) Result {
 
 	eng := sim.NewEngine()
 	cl := cluster.New(eng)
-	client := cl.AddNode("client", p.ClientCPUs, p.ClientSpeed)
-	server := cl.AddNode("server", p.ServerCPUs, p.ServerSpeed)
+	client := cl.AddNode("client", p.ClientCPUs, clientSpeed)
+	server := cl.AddNode("server", p.ServerCPUs, serverSpeed)
 	clientFS := vfs.New(eng.Now)
 	serverFS := vfs.New(eng.Now)
 	link := netsim.NewLink(eng, "lan", p.Bandwidth)
@@ -235,7 +223,7 @@ func Run(arch Architecture, p Params) Result {
 	rs.Start()
 
 	// Sample the watched series at the server.
-	watchPaths := resolveWatch(run, p.Watch)
+	watchPaths := resolveWatch(run)
 	samples := make(map[string][]sample, len(watchPaths))
 	sched := eng.Scope("dataflow")
 	var sampler func()
@@ -245,10 +233,10 @@ func Run(arch Architecture, p Params) Result {
 			samples[name] = append(samples[name], sample{eng.Now(), serverFS.Size(path)})
 		}
 		if !samplerDone {
-			sched.After(p.SampleInterval, sampler)
+			sched.After(sampleInterval, sampler)
 		}
 	}
-	sched.After(p.SampleInterval, sampler)
+	sched.After(sampleInterval, sampler)
 
 	// Watchdog: once the run is finished and rsync has delivered
 	// everything, stop the periodic agents so the event queue drains.
@@ -263,9 +251,9 @@ func Run(arch Architecture, p Params) Result {
 		if eng.Now() > watchdogDeadline {
 			panic(fmt.Sprintf("dataflow: %v did not complete within %v virtual seconds", arch, watchdogDeadline))
 		}
-		sched.After(p.SampleInterval, watchdog)
+		sched.After(sampleInterval, watchdog)
 	}
-	sched.After(p.SampleInterval, watchdog)
+	sched.After(sampleInterval, watchdog)
 
 	eng.Run()
 
@@ -333,10 +321,10 @@ type sample struct {
 	size int64
 }
 
-// resolveWatch maps watch names to server-filesystem paths.
-func resolveWatch(run *workflow.Run, watch []string) map[string]string {
-	paths := make(map[string]string, len(watch))
-	for _, name := range watch {
+// resolveWatch maps the DefaultWatch names to server-filesystem paths.
+func resolveWatch(run *workflow.Run) map[string]string {
+	paths := make(map[string]string, len(DefaultWatch))
+	for _, name := range DefaultWatch {
 		switch {
 		case name == "process":
 			paths[name] = run.ProcessDir() + "/master.out"

@@ -78,8 +78,11 @@ func RunDir(forecast string, year, day int) string {
 	return fmt.Sprintf("/runs/%s/%d-%03d", forecast, year, day)
 }
 
+// LogFile is the file name of the run log inside a run directory.
+const LogFile = "run.log"
+
 // LogPath returns the run log path inside a run directory.
-func LogPath(dir string) string { return dir + "/run.log" }
+func LogPath(dir string) string { return dir + "/" + LogFile }
 
 // Format renders a record as the textual run log.
 func Format(r *RunRecord) string {
@@ -264,7 +267,7 @@ func Crawl(fs *vfs.FS, root string) ([]*RunRecord, error) {
 	}
 	var records []*RunRecord
 	err := fs.Walk(root, func(info vfs.FileInfo) error {
-		if info.IsDir || info.Name != "run.log" {
+		if info.IsDir || info.Name != LogFile {
 			return nil
 		}
 		rec, err := ParseFile(fs, info.Path)

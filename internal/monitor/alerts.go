@@ -251,29 +251,29 @@ func labelsEqual(a, b telemetry.Labels) bool {
 	return true
 }
 
-// RegressionRule fires when a completed run's walltime exceeds Ratio
-// times the trailing median of that forecast's previous Window completed
-// runs — the rolling-window anomaly detector for the step changes of
-// Figures 8 and 9 (a doubled timestep count, a slower code version)
-// and for creeping contention. It resolves when a later run of the same
-// forecast comes back under the bound.
-type RegressionRule struct {
-	Window     int     // trailing runs forming the baseline (default 7)
-	Ratio      float64 // fire when walltime > Ratio × median (default 1.5)
-	MinSamples int     // baseline runs required before judging (default 3)
-	Severity   Severity
-	Disabled   bool
-}
+// The runtime-regression rule fires (warning) when a completed run's
+// walltime exceeds regressionRatio times the trailing median of that
+// forecast's previous regressionWindow completed runs — the
+// rolling-window anomaly detector for the step changes of Figures 8 and
+// 9 (a doubled timestep count, a slower code version) and for creeping
+// contention. It resolves when a later run of the same forecast comes
+// back under the bound.
+const (
+	regressionWindow     = 7   // trailing runs forming the baseline
+	regressionRatio      = 1.5 // fire when walltime > ratio × median
+	regressionMinSamples = 3   // baseline runs required before judging
+)
 
-// baseline computes the trailing median of walltimes (already oldest
-// first). It returns false with fewer than MinSamples samples.
-func (r RegressionRule) baseline(walltimes []float64) (float64, bool) {
+// regressionBaseline computes the trailing median of walltimes (already
+// oldest first). It returns false with fewer than regressionMinSamples
+// samples.
+func regressionBaseline(walltimes []float64) (float64, bool) {
 	n := len(walltimes)
-	if n > r.Window {
-		walltimes = walltimes[n-r.Window:]
-		n = r.Window
+	if n > regressionWindow {
+		walltimes = walltimes[n-regressionWindow:]
+		n = regressionWindow
 	}
-	if n < r.MinSamples || n == 0 {
+	if n < regressionMinSamples {
 		return 0, false
 	}
 	sorted := append([]float64(nil), walltimes...)

@@ -37,7 +37,7 @@ func TestMonitorAttachedToCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(DefaultOptions(), tel.Registry())
+	m := New(Options{}, tel.Registry())
 	m.Attach(c)
 	c.Run()
 	m.Finalize(c.Engine().Now())

@@ -77,18 +77,11 @@ type NodeStatus struct {
 	Utilization float64 `json:"utilization"`
 }
 
-// Options configure a Monitor. The zero value is usable; DefaultOptions
-// fills in the standard rule set.
+// Options configure a Monitor. The zero value is the standard rule set:
+// deadline misses are graded warning when predicted and critical when
+// real, runtime regressions warning, and missing runs critical. The
+// optional rules below are off until configured.
 type Options struct {
-	// TickEvery is the rule-evaluation interval in sim seconds when
-	// attached to a campaign (default 900 = 15 sim-minutes).
-	TickEvery float64
-	// PredictedSeverity and MissSeverity grade the deadline rule's two
-	// stages (defaults: warning, critical).
-	PredictedSeverity Severity
-	MissSeverity      Severity
-	// Regression is the rolling-window walltime anomaly rule.
-	Regression RegressionRule
 	// Thresholds are metric threshold rules evaluated every tick.
 	Thresholds []ThresholdRule
 	// Staleness rules watch timestamp gauges (harvest heartbeat) for
@@ -119,8 +112,6 @@ type Options struct {
 	// MissingRunGrace is how far past a day's deadline the monitor waits
 	// before declaring an expected run missing (sim seconds).
 	MissingRunGrace float64
-	// MissingRunSeverity grades missing-run alerts (default critical).
-	MissingRunSeverity Severity
 	// History seeds the estimator and the regression baselines with
 	// completed run records (e.g. harvested from the statsdb runs table).
 	History []*logs.RunRecord
@@ -139,16 +130,9 @@ type Options struct {
 	SpecOf func(name string) *forecast.Spec
 }
 
-// DefaultOptions returns the standard control-room configuration.
-func DefaultOptions() Options {
-	return Options{
-		TickEvery:         900,
-		PredictedSeverity: SevWarning,
-		MissSeverity:      SevCritical,
-		Regression:        RegressionRule{Window: 7, Ratio: 1.5, MinSamples: 3, Severity: SevWarning},
-		StartDay:          1,
-	}
-}
+// tickEvery is the rule-evaluation interval in sim seconds when attached
+// to a campaign (15 sim-minutes).
+const tickEvery = 900
 
 // Monitor is the control room's state: the SLO tracker, the alert
 // engine, and cached node utilization. All exported methods are safe for
@@ -185,27 +169,8 @@ type Monitor struct {
 // New builds a Monitor. reg (may be nil) receives the monitor's own
 // metrics: alerts firing/fired, deadline misses, predicted misses.
 func New(opts Options, reg *telemetry.Registry) *Monitor {
-	if opts.TickEvery <= 0 {
-		opts.TickEvery = 900
-	}
 	if opts.StartDay <= 0 {
 		opts.StartDay = 1
-	}
-	if opts.Regression.Window <= 0 {
-		opts.Regression.Window = 7
-	}
-	if opts.Regression.Ratio <= 0 {
-		opts.Regression.Ratio = 1.5
-	}
-	if opts.Regression.MinSamples <= 0 {
-		opts.Regression.MinSamples = 3
-	}
-	if opts.PredictedSeverity == 0 && opts.MissSeverity == 0 {
-		opts.PredictedSeverity = SevWarning
-		opts.MissSeverity = SevCritical
-	}
-	if opts.MissingRunSeverity == 0 {
-		opts.MissingRunSeverity = SevCritical
 	}
 	reg.Describe("monitor_deadline_misses_total", "Runs that completed (or are executing) past their deadline.")
 	reg.Describe("monitor_predicted_misses_total", "Deadline misses predicted before they occurred.")
@@ -253,7 +218,6 @@ func (m *Monitor) Attach(c *factory.Campaign) {
 	eng := c.Engine()
 	sched := eng.Scope("monitor")
 	horizon := c.Horizon()
-	interval := m.opts.TickEvery
 	var tick func()
 	tick = func() {
 		snap := c.Snapshot()
@@ -262,11 +226,11 @@ func (m *Monitor) Attach(c *factory.Campaign) {
 			nodes = append(nodes, NodeStatus{Name: n.Name(), CPUs: n.CPUs(), Utilization: n.Utilization()})
 		}
 		m.ObserveSnapshot(snap, nodes)
-		if eng.Now()+interval <= horizon {
-			sched.After(interval, tick)
+		if eng.Now()+tickEvery <= horizon {
+			sched.After(tickEvery, tick)
 		}
 	}
-	sched.After(interval, tick)
+	sched.After(tickEvery, tick)
 }
 
 // runKey builds the tracker key for a record.
@@ -564,7 +528,7 @@ func (m *Monitor) checkMissingRuns() {
 			if m.now > m.deadlineFor(f, day)+m.opts.MissingRunGrace {
 				m.book.fire(m.now, Alert{
 					Rule: "missing_run", Key: "missing_run:" + key,
-					Severity: m.opts.MissingRunSeverity, Forecast: f, Day: day,
+					Severity: SevCritical, Forecast: f, Day: day,
 					Message: fmt.Sprintf("%s day %d: no run record past its deadline — expected production missing", f, day),
 				})
 			}
@@ -588,7 +552,7 @@ func (m *Monitor) checkDeadline(r *RunSLO) {
 			m.mPredicted.Inc()
 		}
 		m.book.fire(m.now, Alert{
-			Rule: "deadline", Key: "deadline:" + key, Severity: m.opts.PredictedSeverity,
+			Rule: "deadline", Key: "deadline:" + key, Severity: SevWarning,
 			Forecast: r.Forecast, Day: r.Day, Node: r.Node,
 			Value: r.ETA, Threshold: r.Deadline, Predicted: true,
 			Message: fmt.Sprintf("%s day %d predicted to finish %s after its deadline",
@@ -611,7 +575,7 @@ func (m *Monitor) fireMiss(r *RunSLO, predicted bool) {
 	prior := m.book.firing["deadline:"+key]
 	escalating := prior == nil || prior.Predicted
 	m.book.fire(m.now, Alert{
-		Rule: "deadline", Key: "deadline:" + key, Severity: m.opts.MissSeverity,
+		Rule: "deadline", Key: "deadline:" + key, Severity: SevCritical,
 		Forecast: r.Forecast, Day: r.Day, Node: r.Node,
 		Value: m.now, Threshold: r.Deadline, Predicted: predicted,
 		Message: fmt.Sprintf("%s day %d missed its deadline by %s", r.Forecast, r.Day, hhmm(over)),
@@ -624,23 +588,19 @@ func (m *Monitor) fireMiss(r *RunSLO, predicted bool) {
 // checkRegression compares a completed run against the trailing median
 // of its forecast's previous runs.
 func (m *Monitor) checkRegression(rec *logs.RunRecord) {
-	rule := m.opts.Regression
-	if rule.Disabled {
-		return
-	}
-	median, ok := rule.baseline(m.walltimes[rec.Forecast])
+	median, ok := regressionBaseline(m.walltimes[rec.Forecast])
 	if !ok {
 		return
 	}
 	key := "regression:" + rec.Forecast
-	bound := rule.Ratio * median
+	bound := regressionRatio * median
 	if rec.Walltime > bound {
 		m.book.fire(m.now, Alert{
-			Rule: "runtime_regression", Key: key, Severity: rule.Severity,
+			Rule: "runtime_regression", Key: key, Severity: SevWarning,
 			Forecast: rec.Forecast, Day: rec.Day, Node: rec.Node,
 			Value: rec.Walltime, Threshold: bound,
 			Message: fmt.Sprintf("%s day %d ran %.0fs, %.1f× the trailing %d-run median %.0fs",
-				rec.Forecast, rec.Day, rec.Walltime, rec.Walltime/median, rule.Window, median),
+				rec.Forecast, rec.Day, rec.Walltime, rec.Walltime/median, regressionWindow, median),
 		})
 	} else {
 		m.book.resolve(m.now, key)

@@ -207,6 +207,26 @@ func TestAlertEngine(t *testing.T) {
 	}
 }
 
+// TestZeroOptionsIsStandardRuleSet pins that Options{} grades the
+// always-on rules at their standard severities: a runtime regression at
+// warning, a run executing past its deadline at critical.
+func TestZeroOptionsIsStandardRuleSet(t *testing.T) {
+	m := New(Options{}, telemetry.NewRegistry())
+	for day := 1; day <= 3; day++ {
+		m.ObserveRecord(completedRec("f", day, float64(day-1)*86400+3600, 1000))
+	}
+	m.ObserveRecord(completedRec("f", 4, day4+3600, 2000))
+	if a := findAlert(m.Alerts(), "runtime_regression"); a == nil || a.Severity != SevWarning {
+		t.Errorf("runtime_regression alert = %+v, want severity warning", a)
+	}
+
+	m.ObserveRecord(runningRec("f", 5, 4*86400+3600))
+	m.Tick(5*86400 + 3600)
+	if a := findAlert(m.Alerts(), "deadline"); a == nil || a.Predicted || a.Severity != SevCritical {
+		t.Errorf("deadline alert = %+v, want an actual miss at critical", a)
+	}
+}
+
 func TestThresholdRuleLifecycle(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := New(Options{

@@ -92,7 +92,7 @@ func TestSPCRulesDisabledByDefault(t *testing.T) {
 // /api/spc serves exactly what spc.ReadReport returns from the stats
 // database — the same report foreman -spc renders.
 func TestSPCEndpointServesPersistedReport(t *testing.T) {
-	o := spc.New(spc.DefaultParams())
+	o := spc.New()
 	for i, v := range []float64{100, 102, 98, 101, 99, 100, 102, 98, 140, 141, 139, 140, 142} {
 		o.Observe(spc.KindRunTime, "f1", i, float64(i)*86400, v)
 	}

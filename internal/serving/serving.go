@@ -46,6 +46,17 @@ const (
 	stalenessBuckets = 48*60 + 1
 )
 
+// Edge timing, in seconds.
+const (
+	// cycleLength is the forecast cycle: the daily forecast. A cached
+	// entry from an older cycle is stale.
+	cycleLength = 86400
+	// demandTau is the demand decay time constant.
+	demandTau = 3600
+	// retryInterval re-polls the admission oracle for queued renders.
+	retryInterval = 60
+)
+
 // Config describes the edge.
 type Config struct {
 	Engine *sim.Engine
@@ -53,9 +64,6 @@ type Config struct {
 	Server *cluster.Node
 	// Products is the public catalog.
 	Products []Product
-	// CycleLength is the forecast cycle in seconds (default 86400: the
-	// daily forecast). A cached entry from an older cycle is stale.
-	CycleLength float64
 	// MaxRenders bounds concurrent renders (default: server CPUs).
 	MaxRenders int
 	// MaxQueue bounds the render queue; beyond it requests degrade to
@@ -64,11 +72,6 @@ type Config struct {
 	// HotRate is the decayed requests-per-hour rate above which a product
 	// counts as popular (default 600).
 	HotRate float64
-	// DemandTau is the demand decay time constant in seconds (default 3600).
-	DemandTau float64
-	// RetryInterval re-polls the admission oracle for queued renders
-	// (default 60).
-	RetryInterval float64
 	// Stock, when set, returns the current made-to-stock state for the
 	// admission oracle. A render is admitted only if DeadlineAwarePolicy
 	// says every stock deadline still holds with the render's work (and
@@ -106,10 +109,9 @@ func tierName(t int) string {
 
 // entry is one cached render.
 type entry struct {
-	cycle      int
-	dataT      float64 // data time of the rendered cycle
-	renderedAt float64
-	expires    float64
+	cycle   int
+	dataT   float64 // data time of the rendered cycle
+	expires float64
 }
 
 // waitBatch groups coalesced requests that arrived together.
@@ -180,7 +182,6 @@ type Edge struct {
 	waitSum                                                                float64
 	waited                                                                 int64
 
-	mReq *telemetry.Counter
 	mOut map[string]*telemetry.Counter
 }
 
@@ -192,9 +193,6 @@ func New(cfg Config) (*Edge, error) {
 	if len(cfg.Products) == 0 {
 		return nil, fmt.Errorf("serving: empty product catalog")
 	}
-	if cfg.CycleLength <= 0 {
-		cfg.CycleLength = 86400
-	}
 	if cfg.MaxRenders <= 0 {
 		cfg.MaxRenders = cfg.Server.CPUs()
 	}
@@ -203,12 +201,6 @@ func New(cfg Config) (*Edge, error) {
 	}
 	if cfg.HotRate <= 0 {
 		cfg.HotRate = 600
-	}
-	if cfg.DemandTau <= 0 {
-		cfg.DemandTau = 3600
-	}
-	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = 60
 	}
 	e := &Edge{
 		cfg:        cfg,
@@ -333,7 +325,7 @@ func (e *Edge) ArriveN(product string, n int64) {
 // tier classifies the product right now: fresh (a render would serve the
 // current cycle) beats stale, hot (decayed demand above HotRate) beats cold.
 func (e *Edge) tier(ps *productState, now float64) int {
-	fresh := ps.cycle >= 0 && ps.cycle == int(now/e.cfg.CycleLength)
+	fresh := ps.cycle >= 0 && ps.cycle == int(now/cycleLength)
 	hot := e.decayedRate(ps, now) >= e.cfg.HotRate
 	switch {
 	case fresh && hot:
@@ -348,7 +340,7 @@ func (e *Edge) tier(ps *productState, now float64) int {
 }
 
 func (e *Edge) noteDemand(ps *productState, now float64, n int64) {
-	ps.rate = e.decayedRate(ps, now) + float64(n)*3600/e.cfg.DemandTau
+	ps.rate = e.decayedRate(ps, now) + float64(n)*3600/demandTau
 	ps.rateAt = now
 }
 
@@ -356,7 +348,7 @@ func (e *Edge) decayedRate(ps *productState, now float64) float64 {
 	if now <= ps.rateAt {
 		return ps.rate
 	}
-	return ps.rate * math.Exp(-(now-ps.rateAt)/e.cfg.DemandTau)
+	return ps.rate * math.Exp(-(now-ps.rateAt)/demandTau)
 }
 
 // admit asks the on-demand what-if oracle whether the server can absorb
@@ -415,8 +407,7 @@ func (e *Edge) finishRender(r *renderJob, label string) {
 	delete(e.activeJobs, label)
 	e.active--
 	ps := r.ps
-	ps.cached = &entry{cycle: r.cycle, dataT: r.dataT, renderedAt: now,
-		expires: now + ps.p.Perish}
+	ps.cached = &entry{cycle: r.cycle, dataT: r.dataT, expires: now + ps.p.Perish}
 	if ps.render == r {
 		ps.render = nil
 	}
@@ -478,7 +469,7 @@ func (e *Edge) armRetry() {
 	if e.retry.Active() {
 		return
 	}
-	e.retry = e.sched.After(e.cfg.RetryInterval, func() {
+	e.retry = e.sched.After(retryInterval, func() {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		e.drainQueue(e.cfg.Engine.Now())

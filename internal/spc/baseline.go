@@ -1,5 +1,5 @@
 // History-fit baselines: seed the observatory's control limits from the
-// harvested runs table instead of burning the first MinBaseline live
+// harvested runs table instead of burning the first minBaseline live
 // points on learning. History is segmented at code-version changes — the
 // paper's user-supplied version factor is exactly a known level shift —
 // so only the latest version's runs define "in control", and each

@@ -19,7 +19,7 @@ func observedReplay(observe bool) int {
 		replay.Run(replay.Options{Trace: true})
 		return 0
 	}
-	obs := spc.New(spc.DefaultParams())
+	obs := spc.New()
 	res := replay.Run(replay.Options{Trace: true, OnRun: func(r replay.Record) {
 		obs.ObserveRun(spc.RunObs{
 			Forecast: r.Forecast, Day: r.Day, Node: r.Node,

@@ -50,7 +50,7 @@ func TestCampaignChangepointBlamesCodeVersionNotFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := monitor.DefaultOptions()
+	opts := monitor.Options{}
 	opts.OutOfControl = monitor.OutOfControlRule{Enabled: true, Severity: monitor.SevWarning}
 	opts.Changepoint = monitor.ChangepointRule{Enabled: true, Severity: monitor.SevWarning}
 	mon := monitor.New(opts, tel.Registry())
@@ -61,7 +61,7 @@ func TestCampaignChangepointBlamesCodeVersionNotFailure(t *testing.T) {
 	// Stream the campaign's completed runs through the observatory in
 	// completion order, verdicts feeding the alert book — exactly what
 	// foreman -spc and the factory's live hook do.
-	obs := spc.New(spc.DefaultParams())
+	obs := spc.New()
 	obs.OnEvent(func(e spc.Event) {
 		if cp := e.Changepoint; cp != nil {
 			mon.ObserveChangepoint(e.Kind, e.Subject, cp.Day, cp.DetectedDay, cp.Cause, cp.Before, cp.After)

@@ -161,84 +161,38 @@ func (r *RuleSet) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Params tune the control charts. The zero value is unusable; start from
-// DefaultParams. Sigma-denominated knobs are in units of the series'
+// Chart tuning. Sigma-denominated values are in units of the series'
 // estimated sigma.
-type Params struct {
-	// SigmaK places the Shewhart individuals limits (default 3).
-	SigmaK float64
-	// EWMALambda is the EWMA smoothing weight (default 0.2) and EWMAK its
-	// limit multiplier (default 3); limits are time-varying, so the chart
-	// is exact from the first judged point.
-	EWMALambda float64
-	EWMAK      float64
-	// CUSUMSlack is the CUSUM reference value k (default 0.5: tuned for
-	// one-sigma shifts) and CUSUMDecision the decision interval h
-	// (default 5).
-	CUSUMSlack    float64
-	CUSUMDecision float64
-	// CUSUMClamp bounds each standardized deviation fed to the CUSUM
-	// (default 4): one wild outlier — a node failure day — cannot cross
-	// the decision interval alone, a sustained shift still accumulates.
-	CUSUMClamp float64
-	// MinShiftRun is the minimum number of consecutive points an arm must
-	// span before a decision is declared a changepoint (default 5), the
-	// second guard separating level shifts from transients. The last
-	// MinShiftRun points must also all sit beyond the slack on the arm's
-	// side: a transient excursion — a failed node's two- or three-day
-	// backlog — banks enough in the arm to cross the decision interval,
-	// but once the series reverts the recent evidence goes quiet and no
+const (
+	// sigmaK places the Shewhart individuals limits.
+	sigmaK = 3
+	// ewmaLambda is the EWMA smoothing weight and ewmaK its limit
+	// multiplier; limits are time-varying, so the chart is exact from the
+	// first judged point.
+	ewmaLambda = 0.2
+	ewmaK      = 3
+	// cusumSlack is the CUSUM reference value k (tuned for one-sigma
+	// shifts) and cusumDecision the decision interval h.
+	cusumSlack    = 0.5
+	cusumDecision = 5
+	// cusumClamp bounds each standardized deviation fed to the CUSUM: one
+	// wild outlier — a node failure day — cannot cross the decision
+	// interval alone, a sustained shift still accumulates.
+	cusumClamp = 4
+	// minShiftRun is the minimum number of consecutive points an arm must
+	// span before a decision is declared a changepoint, the second guard
+	// separating level shifts from transients. The last minShiftRun
+	// points must also all sit beyond the slack on the arm's side: a
+	// transient excursion — a failed node's two- or three-day backlog —
+	// banks enough in the arm to cross the decision interval, but once
+	// the series reverts the recent evidence goes quiet and no
 	// changepoint is declared while the arm drains.
-	MinShiftRun int
-	// MinBaseline is how many points a series collects before freezing
-	// its first baseline and judging further points (default 8). Seeded
-	// baselines (SetBaseline / Seed) skip the learning phase.
-	MinBaseline int
-}
-
-// DefaultParams returns the standard chart tuning.
-func DefaultParams() Params {
-	return Params{
-		SigmaK:        3,
-		EWMALambda:    0.2,
-		EWMAK:         3,
-		CUSUMSlack:    0.5,
-		CUSUMDecision: 5,
-		CUSUMClamp:    4,
-		MinShiftRun:   5,
-		MinBaseline:   8,
-	}
-}
-
-// normalize fills unset (zero) parameters with their defaults.
-func (p Params) normalize() Params {
-	d := DefaultParams()
-	if p.SigmaK <= 0 {
-		p.SigmaK = d.SigmaK
-	}
-	if p.EWMALambda <= 0 || p.EWMALambda > 1 {
-		p.EWMALambda = d.EWMALambda
-	}
-	if p.EWMAK <= 0 {
-		p.EWMAK = d.EWMAK
-	}
-	if p.CUSUMSlack <= 0 {
-		p.CUSUMSlack = d.CUSUMSlack
-	}
-	if p.CUSUMDecision <= 0 {
-		p.CUSUMDecision = d.CUSUMDecision
-	}
-	if p.CUSUMClamp <= 0 {
-		p.CUSUMClamp = d.CUSUMClamp
-	}
-	if p.MinShiftRun <= 0 {
-		p.MinShiftRun = d.MinShiftRun
-	}
-	if p.MinBaseline < 2 {
-		p.MinBaseline = d.MinBaseline
-	}
-	return p
-}
+	minShiftRun = 5
+	// minBaseline is how many points a series collects before freezing
+	// its first baseline and judging further points. Seeded baselines
+	// (SetBaseline / Seed) skip the learning phase.
+	minBaseline = 8
+)
 
 // d2 is the control-chart constant E[MR]/sigma for moving ranges of two
 // consecutive points; sigma-hat = mean moving range / d2.
@@ -326,7 +280,7 @@ type series struct {
 	changepoints []Changepoint
 
 	// Baseline: frozen center/sigma once fitted (from history or from the
-	// first MinBaseline observed points).
+	// first minBaseline observed points).
 	frozen bool
 	center float64
 	sigma  float64
@@ -352,7 +306,6 @@ type series struct {
 // event hook is invoked with the lock released.
 type Observatory struct {
 	mu     sync.Mutex
-	params Params
 	series map[seriesKey]*series
 	order  []seriesKey
 
@@ -368,11 +321,9 @@ type Observatory struct {
 	finalized   bool
 }
 
-// New builds an Observatory with the given chart parameters (zero fields
-// fall back to DefaultParams).
-func New(p Params) *Observatory {
+// New builds an Observatory with the standard chart tuning.
+func New() *Observatory {
 	return &Observatory{
-		params:      p.normalize(),
 		series:      make(map[seriesKey]*series),
 		dayLateness: make(map[int]float64),
 		dayEnd:      make(map[int]float64),
@@ -400,7 +351,7 @@ func (o *Observatory) OnReplan(fn func(Event)) {
 
 // SetBaseline freezes a series' baseline before any observation arrives
 // — typically from a history fit (see FitRunHistory) — so judging starts
-// at the first point instead of after MinBaseline learning points.
+// at the first point instead of after minBaseline learning points.
 // Non-positive sigma keeps the sigma floor behavior of learned baselines.
 func (o *Observatory) SetBaseline(kind, subject string, center, sigma float64) {
 	o.mu.Lock()
@@ -419,7 +370,7 @@ func (o *Observatory) get(kind, subject string) *series {
 		s = &series{
 			kind: kind, subject: subject,
 			points: make([]Point, 0, 16),
-			learn:  make([]float64, 0, o.params.MinBaseline),
+			learn:  make([]float64, 0, minBaseline),
 		}
 		o.series[k] = s
 		o.order = append(o.order, k)
@@ -594,7 +545,7 @@ func (o *Observatory) observeLocked(s *series, day int, t, value float64) (Event
 		s.learn = append(s.learn, value)
 		p.Learning = true
 		s.points = append(s.points, p)
-		if len(s.learn) >= o.params.MinBaseline {
+		if len(s.learn) >= minBaseline {
 			s.center, s.sigma = fitBaseline(s.learn)
 			s.frozen = true
 			s.learn = nil
@@ -605,19 +556,20 @@ func (o *Observatory) observeLocked(s *series, day int, t, value float64) (Event
 	}
 
 	p.Center, p.Sigma = s.center, s.sigma
-	p.UCL = s.center + o.params.SigmaK*s.sigma
-	p.LCL = s.center - o.params.SigmaK*s.sigma
+	p.UCL = s.center + sigmaK*s.sigma
+	p.LCL = s.center - sigmaK*s.sigma
 	p.Z = (value - s.center) / s.sigma
 
-	// Both accumulating charts see deviations clamped to ±CUSUMClamp
+	// Both accumulating charts see deviations clamped to ±cusumClamp
 	// sigma: one wild outlier (a node-failure day) registers on the
 	// Shewhart chart but cannot drag the EWMA out for a dozen points or
 	// cross the CUSUM decision interval alone; sustained shifts pass the
 	// clamp untouched.
-	zc := math.Max(-o.params.CUSUMClamp, math.Min(o.params.CUSUMClamp, p.Z))
+	zc := math.Max(-cusumClamp, math.Min(cusumClamp, p.Z))
 
-	// EWMA with time-varying limits.
-	lam := o.params.EWMALambda
+	// EWMA with time-varying limits. lam is a variable so that 1-lam and
+	// lam/(2-lam) round in float64 rather than fold exactly at compile time.
+	lam := float64(ewmaLambda)
 	if s.ewmaN == 0 {
 		s.ewma = s.center
 	}
@@ -625,11 +577,11 @@ func (o *Observatory) observeLocked(s *series, day int, t, value float64) (Event
 	s.ewmaN++
 	sz := s.sigma * math.Sqrt(lam/(2-lam)*(1-math.Pow(1-lam, 2*float64(s.ewmaN))))
 	p.EWMA = s.ewma
-	p.EWMAUpper = s.center + o.params.EWMAK*sz
-	p.EWMALower = s.center - o.params.EWMAK*sz
+	p.EWMAUpper = s.center + ewmaK*sz
+	p.EWMALower = s.center - ewmaK*sz
 
 	// Two-sided standardized CUSUM on the same clamped deviations.
-	s.cPos = math.Max(0, s.cPos+zc-o.params.CUSUMSlack)
+	s.cPos = math.Max(0, s.cPos+zc-cusumSlack)
 	if s.cPos == 0 {
 		s.cPosRun, s.cPosSeq = 0, p.Seq+1
 	} else if s.cPosRun == 0 {
@@ -637,7 +589,7 @@ func (o *Observatory) observeLocked(s *series, day int, t, value float64) (Event
 	} else {
 		s.cPosRun++
 	}
-	s.cNeg = math.Max(0, s.cNeg-zc-o.params.CUSUMSlack)
+	s.cNeg = math.Max(0, s.cNeg-zc-cusumSlack)
 	if s.cNeg == 0 {
 		s.cNegRun, s.cNegSeq = 0, p.Seq+1
 	} else if s.cNegRun == 0 {
@@ -650,7 +602,7 @@ func (o *Observatory) observeLocked(s *series, day int, t, value float64) (Event
 	// Western Electric run rules on the Shewhart z. The trailing window
 	// shifts in place (copy-down, not reslice) so the steady state
 	// allocates nothing.
-	if keep := max(8, o.params.MinShiftRun); len(s.recentZ) < keep {
+	if keep := max(8, minShiftRun); len(s.recentZ) < keep {
 		s.recentZ = append(s.recentZ, p.Z)
 	} else {
 		copy(s.recentZ, s.recentZ[1:])
@@ -660,17 +612,17 @@ func (o *Observatory) observeLocked(s *series, day int, t, value float64) (Event
 
 	// CUSUM decision: a changepoint when the arm crossed the decision
 	// interval over a sustained run of points AND the shift is still
-	// present in the last MinShiftRun observations. The second clause is
+	// present in the last minShiftRun observations. The second clause is
 	// what separates a level shift from a transient: a short excursion
 	// leaves the arm above the decision interval for many points while
 	// it drains, but its trailing deviations have already gone quiet.
 	var cp *Changepoint
-	run := o.params.MinShiftRun
-	if s.cPos > o.params.CUSUMDecision && s.cPosRun >= run &&
-		lastRunBeyond(s.recentZ, run, o.params.CUSUMSlack, true) {
+	run := minShiftRun
+	if s.cPos > cusumDecision && s.cPosRun >= run &&
+		lastRunBeyond(s.recentZ, run, cusumSlack, true) {
 		cp = o.changepointLocked(s, p, s.cPosSeq)
-	} else if s.cNeg > o.params.CUSUMDecision && s.cNegRun >= run &&
-		lastRunBeyond(s.recentZ, run, o.params.CUSUMSlack, false) {
+	} else if s.cNeg > cusumDecision && s.cNegRun >= run &&
+		lastRunBeyond(s.recentZ, run, cusumSlack, false) {
 		cp = o.changepointLocked(s, p, s.cNegSeq)
 	}
 	if cp != nil {
@@ -700,7 +652,7 @@ func (o *Observatory) observeLocked(s *series, day int, t, value float64) (Event
 func (o *Observatory) runRules(s *series, p Point) RuleSet {
 	var rules RuleSet
 	zs := s.recentZ
-	if math.Abs(p.Z) > o.params.SigmaK {
+	if math.Abs(p.Z) > sigmaK {
 		rules |= ruleBitWE1
 	}
 	if sideCount(zs, 3, 2) >= 2 {
@@ -829,7 +781,7 @@ func (o *Observatory) rebaselineLocked(s *series, seq int) {
 	if len(vals) >= 2 {
 		center, sigma := fitBaseline(vals)
 		s.center = center
-		if len(vals) >= o.params.MinBaseline {
+		if len(vals) >= minBaseline {
 			s.sigma = sigma
 		} else {
 			s.sigma = sigmaFloor(s.sigma, center) // keep the proven noise scale
@@ -950,8 +902,8 @@ func (o *Observatory) Report() *Report {
 		}
 		if s.frozen {
 			sr.Center, sr.Sigma = s.center, s.sigma
-			sr.UCL = s.center + o.params.SigmaK*s.sigma
-			sr.LCL = s.center - o.params.SigmaK*s.sigma
+			sr.UCL = s.center + sigmaK*s.sigma
+			sr.LCL = s.center - sigmaK*s.sigma
 		}
 		for i := range sr.Points {
 			if sr.Points[i].Out {

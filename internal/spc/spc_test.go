@@ -17,7 +17,7 @@ func feed(o *Observatory, kind, subject string, vals []float64) {
 }
 
 func TestLearningThenJudging(t *testing.T) {
-	o := New(DefaultParams())
+	o := New()
 	feed(o, KindRunTime, "fc", []float64{100, 101, 99, 100, 102, 98, 100, 101})
 	rep := o.Report()
 	sr := rep.Find(KindRunTime, "fc")
@@ -33,7 +33,7 @@ func TestLearningThenJudging(t *testing.T) {
 		}
 	}
 	if sr.Center == 0 || sr.Sigma == 0 {
-		t.Fatalf("baseline not frozen after MinBaseline points: center=%g sigma=%g", sr.Center, sr.Sigma)
+		t.Fatalf("baseline not frozen after minBaseline points: center=%g sigma=%g", sr.Center, sr.Sigma)
 	}
 	if math.Abs(sr.Center-100.125) > 1e-9 {
 		t.Fatalf("center = %g, want 100.125", sr.Center)
@@ -52,7 +52,7 @@ func TestLearningThenJudging(t *testing.T) {
 }
 
 func TestShewhartSpikeFiresWE1(t *testing.T) {
-	o := New(DefaultParams())
+	o := New()
 	var events []Event
 	o.OnEvent(func(e Event) { events = append(events, e) })
 	feed(o, KindRunTime, "fc", []float64{100, 102, 98, 101, 99, 100, 102, 98})
@@ -83,7 +83,7 @@ func TestShewhartSpikeFiresWE1(t *testing.T) {
 }
 
 func TestCUSUMDetectsSustainedShift(t *testing.T) {
-	o := New(DefaultParams())
+	o := New()
 	base := []float64{100, 102, 98, 101, 99, 100, 102, 98}
 	feed(o, KindRunTime, "fc", base)
 	// Sustained +1.4x level shift starting at seq 8 (day 8).
@@ -118,10 +118,10 @@ func TestCUSUMDetectsSustainedShift(t *testing.T) {
 }
 
 func TestSingleOutlierDoesNotTripCUSUM(t *testing.T) {
-	o := New(DefaultParams())
+	o := New()
 	feed(o, KindRunTime, "fc", []float64{100, 102, 98, 101, 99, 100, 102, 98})
 	// One enormous outlier (a node-failure day) then normal points: the
-	// clamp and MinShiftRun guards must keep the CUSUM from declaring a
+	// clamp and minShiftRun guards must keep the CUSUM from declaring a
 	// changepoint.
 	o.Observe(KindRunTime, "fc", 8, 8*86400, 1000)
 	for i := 0; i < 6; i++ {
@@ -140,7 +140,7 @@ func TestSingleOutlierDoesNotTripCUSUM(t *testing.T) {
 }
 
 func TestEWMACatchesSmallShift(t *testing.T) {
-	o := New(DefaultParams())
+	o := New()
 	// Alternating noise, sigma-hat = MR/d2 = 2/1.128 ≈ 1.77.
 	feed(o, KindRunTime, "fc", []float64{100, 102, 98, 101, 99, 100, 102, 98})
 	// A ~1.5-sigma sustained shift: under the Shewhart 3-sigma radar,
@@ -158,7 +158,7 @@ func TestEWMACatchesSmallShift(t *testing.T) {
 }
 
 func TestZeroVarianceSeriesStaysFinite(t *testing.T) {
-	o := New(DefaultParams())
+	o := New()
 	feed(o, KindRunTime, "fc", []float64{100, 100, 100, 100, 100, 100, 100, 100})
 	o.Observe(KindRunTime, "fc", 8, 8*86400, 100) // identical: in control
 	o.Observe(KindRunTime, "fc", 9, 9*86400, 101) // any departure: out
@@ -179,7 +179,7 @@ func TestZeroVarianceSeriesStaysFinite(t *testing.T) {
 }
 
 func TestSetBaselineSkipsLearning(t *testing.T) {
-	o := New(DefaultParams())
+	o := New()
 	o.SetBaseline(KindRunTime, "fc", 100, 2)
 	o.Observe(KindRunTime, "fc", 0, 0, 120) // 10 sigma out, judged immediately
 	sr := o.Report().Find(KindRunTime, "fc")
@@ -192,7 +192,7 @@ func TestSetBaselineSkipsLearning(t *testing.T) {
 }
 
 func TestObserveRunFeedsSeriesAndLateness(t *testing.T) {
-	o := New(DefaultParams())
+	o := New()
 	day := func(d int) float64 { return float64(d) * 86400 }
 	for d := 0; d < 12; d++ {
 		end := day(d) + 6*3600
@@ -227,7 +227,7 @@ func TestObserveRunFeedsSeriesAndLateness(t *testing.T) {
 }
 
 func TestReplanHookFiresOnDriftOnly(t *testing.T) {
-	o := New(DefaultParams())
+	o := New()
 	var replans []Event
 	o.OnReplan(func(e Event) { replans = append(replans, e) })
 	o.SetBaseline(KindDrift, "fc", 0, 60)
@@ -282,7 +282,7 @@ func TestFitRunHistorySegmentsAtCodeVersion(t *testing.T) {
 	}
 
 	// Seeding an observatory applies baseline and changepoint.
-	o := New(DefaultParams())
+	o := New()
 	o.SeedFits(fits)
 	sr := o.Report().Find(KindRunTime, "fc")
 	if sr == nil || len(sr.Changepoints) != 1 {
@@ -295,7 +295,7 @@ func TestFitRunHistorySegmentsAtCodeVersion(t *testing.T) {
 }
 
 func TestStatsDBRoundTrip(t *testing.T) {
-	o := New(DefaultParams())
+	o := New()
 	feed(o, KindRunTime, "fc", []float64{100, 102, 98, 101, 99, 100, 102, 98})
 	for i, v := range []float64{140, 141, 139, 140, 142, 138, 140} {
 		o.Observe(KindRunTime, "fc", 8+i, float64(8+i)*86400, v)
@@ -353,7 +353,7 @@ func TestStatsDBRoundTrip(t *testing.T) {
 }
 
 func TestRenderSurfaces(t *testing.T) {
-	o := New(DefaultParams())
+	o := New()
 	feed(o, KindRunTime, "fc", []float64{100, 102, 98, 101, 99, 100, 102, 98})
 	for i, v := range []float64{140, 141, 139, 140, 142, 138, 140} {
 		o.Observe(KindRunTime, "fc", 8+i, float64(8+i)*86400, v)

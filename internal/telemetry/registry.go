@@ -183,11 +183,10 @@ func (h *Histogram) snapshot() (bounds []float64, cumulative []uint64, sum float
 
 // series is one labelled instance of a metric family.
 type series struct {
-	labels    Labels
-	sortedKey string
-	counter   *Counter
-	gauge     *Gauge
-	hist      *Histogram
+	labels  Labels
+	counter *Counter
+	gauge   *Gauge
+	hist    *Histogram
 }
 
 // family groups all series of one metric name.
@@ -288,7 +287,7 @@ func (r *Registry) getSeries(name string, kind Kind, bounds []float64, labels La
 	if s = f.series[key]; s != nil {
 		return s
 	}
-	s = &series{labels: cloneLabels(labels), sortedKey: key}
+	s = &series{labels: cloneLabels(labels)}
 	switch kind {
 	case KindCounter:
 		s.counter = &Counter{}

@@ -24,6 +24,7 @@ package usage
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -144,8 +145,12 @@ type nodeState struct {
 	down     bool
 	lastBusy float64
 
-	// Current bucket accumulators.
+	// Current bucket accumulators. bucketEnd is the next boundary of the
+	// shared timeline; offset is the timeline index of the first sample
+	// (non-zero for a node added after the sampler attached).
 	bucketStart float64
+	bucketEnd   float64
+	offset      int
 	busyAcc     float64
 	shareInt    float64
 	runSecs     float64
@@ -219,12 +224,11 @@ type nodeState struct {
 type Sampler struct {
 	mu     sync.Mutex
 	eng    *sim.Engine
-	cl     *cluster.Cluster
 	opts   Options
+	epoch  float64 // the timeline's first bucket start
 	nodes  map[string]*nodeState
 	byNode map[*cluster.Node]*nodeState // the event path's lookup
 	states []*nodeState                 // name-ordered; the hot paths iterate this
-	order  []string
 
 	// Incremental counts behind the imbalance gauges, maintained by
 	// refreshLocked so the per-event path never re-scans the cluster.
@@ -254,7 +258,8 @@ type Sampler struct {
 }
 
 // NewSampler builds a sampler over the cluster's current nodes and
-// subscribes to its lifecycle events. Nodes added later are not tracked.
+// subscribes to its lifecycle events. A node added later joins the
+// timeline at the instant it is added.
 func NewSampler(cl *cluster.Cluster, opts Options) *Sampler {
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultInterval
@@ -264,12 +269,12 @@ func NewSampler(cl *cluster.Cluster, opts Options) *Sampler {
 	}
 	s := &Sampler{
 		eng:           cl.Engine(),
-		cl:            cl,
 		opts:          opts,
 		nodes:         make(map[string]*nodeState),
 		byNode:        make(map[*cluster.Node]*nodeState),
 		imbalanceOpen: math.NaN(),
 	}
+	s.epoch = s.eng.Now()
 	if opts.Telemetry != nil {
 		s.reg = opts.Telemetry.Registry()
 		s.reg.Describe(MetricNodeShare, "Current per-job CPU share min(1, c/k) on the node (1 when idle).")
@@ -283,46 +288,58 @@ func NewSampler(cl *cluster.Cluster, opts Options) *Sampler {
 		s.gIdleSat = s.reg.Gauge(MetricIdleWhileSat, nil)
 		s.gImbAge = s.reg.Gauge(MetricImbalanceAge, nil)
 	}
-	now := s.eng.Now()
 	for _, n := range cl.Nodes() {
-		ns := &nodeState{
-			node:        n,
-			cpus:        n.CPUs(),
-			last:        now,
-			k:           n.Active(),
-			down:        n.Down(),
-			lastBusy:    n.BusySeconds(),
-			bucketStart: now,
-			aggs:        make(map[string]*JobShare),
-			contOpen:    math.NaN(),
-			idleOpen:    math.NaN(),
-		}
-		if s.reg != nil {
-			labels := telemetry.Labels{"node": n.Name()}
-			ns.gShare = s.reg.Gauge(MetricNodeShare, labels)
-			ns.gActive = s.reg.Gauge(MetricNodeActive, labels)
-			ns.gContAge = s.reg.Gauge(MetricContentionAge, labels)
-			ns.gShare.Set(1)
-		}
-		ns.wasContended = !ns.down && ns.k > ns.cpus
-		ns.wasIdle = !ns.down && ns.k == 0
-		if ns.wasContended {
-			s.contendedNodes++
-		}
-		if ns.wasIdle {
-			s.idleUpNodes++
-		}
-		s.nodes[n.Name()] = ns
-		s.byNode[n] = ns
-		s.states = append(s.states, ns)
-		s.order = append(s.order, n.Name())
+		s.addNodeLocked(n)
 	}
 	cl.OnEvent(s.onEvent)
 	return s
 }
 
-// Interval returns the timeline bucket width in sim seconds.
-func (s *Sampler) Interval() float64 { return s.opts.Interval }
+// addNodeLocked starts tracking a node from the current instant. Its
+// first bucket ends at the next boundary of the shared timeline, found by
+// stepping from the epoch the way every node's boundaries advance, so
+// its later buckets line up with the other nodes' to the bit. The node
+// keeps its place in name order. Callers hold the lock (or own s).
+func (s *Sampler) addNodeLocked(n *cluster.Node) *nodeState {
+	now := s.eng.Now()
+	ns := &nodeState{
+		node:        n,
+		cpus:        n.CPUs(),
+		last:        now,
+		k:           n.Active(),
+		down:        n.Down(),
+		lastBusy:    n.BusySeconds(),
+		bucketStart: now,
+		bucketEnd:   s.epoch + s.opts.Interval,
+		aggs:        make(map[string]*JobShare),
+		contOpen:    math.NaN(),
+		idleOpen:    math.NaN(),
+	}
+	for ns.bucketEnd <= now {
+		ns.bucketEnd += s.opts.Interval
+		ns.offset++
+	}
+	if s.reg != nil {
+		labels := telemetry.Labels{"node": n.Name()}
+		ns.gShare = s.reg.Gauge(MetricNodeShare, labels)
+		ns.gActive = s.reg.Gauge(MetricNodeActive, labels)
+		ns.gContAge = s.reg.Gauge(MetricContentionAge, labels)
+		ns.gShare.Set(1)
+	}
+	ns.wasContended = !ns.down && ns.k > ns.cpus
+	ns.wasIdle = !ns.down && ns.k == 0
+	if ns.wasContended {
+		s.contendedNodes++
+	}
+	if ns.wasIdle {
+		s.idleUpNodes++
+	}
+	i := sort.Search(len(s.states), func(i int) bool { return s.states[i].node.Name() >= n.Name() })
+	s.states = slices.Insert(s.states, i, ns)
+	s.nodes[n.Name()] = ns
+	s.byNode[n] = ns
+	return ns
+}
 
 // Start schedules the per-interval tick on the engine until horizon —
 // the tick flushes timeline buckets on schedule and keeps the age and
@@ -414,8 +431,15 @@ func (s *Sampler) onEvent(ev cluster.JobEvent) {
 	if ns == nil || ns.node != ev.Host {
 		ns = s.byNode[ev.Host]
 		if ns == nil {
-			s.mu.Unlock()
-			return
+			if ev.Kind != cluster.EventAdd {
+				s.mu.Unlock()
+				return
+			}
+			// Settle the previous instant before the new node counts.
+			if len(s.dirty) > 0 && ev.Time != s.dirtyAt {
+				s.settleLocked()
+			}
+			ns = s.addNodeLocked(ev.Host)
 		}
 		s.lastNS = ns
 	}
@@ -503,7 +527,7 @@ func (s *Sampler) advanceLocked(ns *nodeState, now float64) {
 	busyDelta := busyNow - ns.lastBusy
 	share := shareOf(ns.k, ns.cpus)
 	for ns.last < now {
-		end := math.Min(now, ns.bucketStart+s.opts.Interval)
+		end := math.Min(now, ns.bucketEnd)
 		dt := end - ns.last
 		ns.busyAcc += busyDelta * (dt / total)
 		ns.activeInt += float64(ns.k) * dt
@@ -526,7 +550,7 @@ func (s *Sampler) advanceLocked(ns *nodeState, now float64) {
 			}
 		}
 		ns.last = end
-		if end >= ns.bucketStart+s.opts.Interval {
+		if end >= ns.bucketEnd {
 			s.flushBucketLocked(ns, end)
 		}
 	}
@@ -559,7 +583,7 @@ func (s *Sampler) flushBucketLocked(ns *nodeState, end float64) {
 	ns.totContention += ns.contSecs
 	ns.totIdle += ns.idleSecs
 	ns.totDown += ns.downSecs
-	ns.bucketStart = end
+	ns.bucketStart, ns.bucketEnd = end, end+s.opts.Interval
 	ns.busyAcc, ns.shareInt, ns.runSecs, ns.activeInt = 0, 0, 0, 0
 	ns.peak, ns.contSecs, ns.idleSecs, ns.downSecs = 0, 0, 0, 0
 	s.cSamples.Inc()
@@ -975,11 +999,12 @@ func (s *Sampler) Status() Status {
 	now := s.eng.Now()
 	st := Status{Now: now, Interval: s.opts.Interval}
 
-	// Bucket index range across all nodes (buckets are aligned: every
-	// node starts at the same sampler epoch).
+	// Bucket index range across all nodes. Buckets are aligned on the
+	// shared timeline, so a node's sample i sits in column offset+i; a
+	// late node's first sample starts mid-column, at its addition.
 	maxBuckets := 0
-	for _, name := range s.order {
-		if n := len(s.nodes[name].samples); n > maxBuckets {
+	for _, ns := range s.states {
+		if n := ns.offset + len(ns.samples); n > maxBuckets {
 			maxBuckets = n
 		}
 	}
@@ -988,23 +1013,25 @@ func (s *Sampler) Status() Status {
 		first = maxBuckets - s.opts.StatusCols
 	}
 	cols := maxBuckets - first
-	st.Grid = Grid{Nodes: append([]string(nil), s.order...), Step: s.opts.Interval}
-	for _, name := range s.order {
-		ns := s.nodes[name]
+	st.Grid = Grid{Step: s.opts.Interval}
+	for _, ns := range s.states {
+		name := ns.node.Name()
+		st.Grid.Nodes = append(st.Grid.Nodes, name)
 		util := make([]float64, cols)
 		share := make([]float64, cols)
 		for i := range share {
 			share[i] = 1
 		}
 		for i, sm := range ns.samples {
-			if i < first {
+			col := ns.offset + i - first
+			if col < 0 {
 				continue
 			}
-			if st.Grid.Start == 0 && i == first {
+			if st.Grid.Start == 0 && col == 0 && (i > 0 || ns.offset == 0) {
 				st.Grid.Start = sm.Start
 			}
-			util[i-first] = sm.Utilization
-			share[i-first] = sm.MeanShare
+			util[col] = sm.Utilization
+			share[col] = sm.MeanShare
 		}
 		st.Grid.Utilization = append(st.Grid.Utilization, util)
 		st.Grid.Share = append(st.Grid.Share, share)

@@ -300,6 +300,58 @@ func TestStatusGrid(t *testing.T) {
 	}
 }
 
+// TestLateNodeJoinsTimeline adds a node mid-bucket, after the sampler
+// attached, and runs a job on it. Its first sample runs from the addition
+// to the shared boundary, later samples line up with the other node's,
+// the busy integral matches the node's own, and the dashboard grid places
+// its columns by time, in name order.
+func TestLateNodeJoinsTimeline(t *testing.T) {
+	e := sim.NewEngine()
+	c := cluster.New(e)
+	c.AddNode("b", 1, 1.0)
+	s := NewSampler(c, Options{Interval: 600})
+	var late *cluster.Node
+	e.At(900, func() {
+		late = c.AddNode("a", 1, 1.0)
+		late.Submit("job", 600, nil) // alone on the CPU: 900 → 1500
+	})
+	s.Start(2400)
+	e.RunUntil(2400)
+	s.Finalize(e.Now())
+
+	samples := s.Samples()
+	want := []Sample{
+		{Node: "a", Start: 900, End: 1200, Utilization: 1, MeanShare: 1, MeanActive: 1, PeakActive: 1},
+		{Node: "a", Start: 1200, End: 1800, Utilization: 0.5, MeanShare: 1, MeanActive: 0.5, PeakActive: 1, IdleSecs: 300},
+		{Node: "a", Start: 1800, End: 2400, Utilization: 0, MeanShare: 1, IdleSecs: 600},
+	}
+	if len(samples) != 7 {
+		t.Fatalf("got %d samples, want 3 for the late node and 4 for b: %+v", len(samples), samples)
+	}
+	busy := 0.0
+	for i, w := range want {
+		g := samples[i] // name order puts the late node "a" first
+		if g.Node != w.Node || !almost(g.Start, w.Start) || !almost(g.End, w.End) ||
+			!almost(g.Utilization, w.Utilization) || !almost(g.MeanActive, w.MeanActive) ||
+			g.PeakActive != w.PeakActive || !almost(g.IdleSecs, w.IdleSecs) {
+			t.Errorf("sample %d = %+v, want %+v", i, g, w)
+		}
+		busy += g.Utilization * late.Capacity() * (g.End - g.Start)
+	}
+	if !almost(busy, late.BusySeconds()) || !almost(busy, 600) {
+		t.Errorf("late node busy integral = %v, want the node's %v (600)", busy, late.BusySeconds())
+	}
+
+	st := s.Status()
+	if len(st.Grid.Nodes) != 2 || st.Grid.Nodes[0] != "a" || !almost(st.Grid.Start, 0) {
+		t.Fatalf("grid nodes %v from %v, want [a b] from 0", st.Grid.Nodes, st.Grid.Start)
+	}
+	row := st.Grid.Utilization[0]
+	if len(row) != 4 || !almost(row[0], 0) || !almost(row[1], 1) || !almost(row[2], 0.5) || !almost(row[3], 0) {
+		t.Errorf("late node grid row = %v, want [0 1 0.5 0] (no data before the addition)", row)
+	}
+}
+
 // TestCondenseGrid checks the full-campaign heatmap re-bucketing:
 // duration-weighted means, NaN for empty cells.
 func TestCondenseGrid(t *testing.T) {

@@ -243,19 +243,6 @@ func (fs *FS) ReadFile(p string) (string, error) {
 	return string(f.content), nil
 }
 
-// SetMTime overrides a file's modification time. Mirrors of real
-// directory trees (foreman -harvest) use it to carry the on-disk mtimes
-// the harvester's watermarks compare against; files written afterwards
-// revert to clock-supplied mtimes.
-func (fs *FS) SetMTime(p string, mtime float64) error {
-	f := fs.lookup(p)
-	if f == nil {
-		return fmt.Errorf("setmtime %s: %w", clean(p), ErrNotExist)
-	}
-	f.info.MTime = mtime
-	return nil
-}
-
 // Stat returns metadata for a path.
 func (fs *FS) Stat(p string) (FileInfo, error) {
 	f := fs.lookup(p)

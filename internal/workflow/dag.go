@@ -3,8 +3,8 @@
 // that launches product-generation tasks as new model data appears
 // (§2.2 of the paper).
 //
-// It also provides a small generic DAG utility used to validate product
-// dependency graphs and compute topological orders.
+// It also provides a small generic DAG utility that validates dependency
+// graphs and computes topological orders; the run path does not use it.
 package workflow
 
 import (

@@ -37,7 +37,6 @@ type Config struct {
 	Increments  int     // simulation output increments (default DefaultIncrements)
 	Workers     int     // max concurrent product tasks (default DefaultWorkers)
 	Poll        float64 // master process scan interval (default DefaultPoll)
-	OnSimDone   func(*Run)
 	OnDone      func(*Run)
 
 	// Telemetry, when non-nil, receives workflow metrics and spans; Span
@@ -353,9 +352,6 @@ func (r *Run) incrementDone() {
 	r.simJob = nil
 	r.simSpan.EndSpan()
 	r.mSimWalltimes.Observe(r.simEnd - r.started)
-	if r.cfg.OnSimDone != nil {
-		r.cfg.OnSimDone(r)
-	}
 	r.checkDone()
 }
 
